@@ -45,10 +45,14 @@ class GeneralizedMeasurement:
     def labels(self) -> tuple:
         return tuple(r for r, _ in self.kraus)
 
+    @property
+    def stack(self) -> np.ndarray:
+        """The operators as one new (K, n, n) complex array, in outcome order."""
+        return np.array(self.ops, dtype=complex)
+
     def completeness_residual(self) -> float:
         """Max-norm of sum_r A_r†A_r - Id."""
-        s = sum(op.conj().T @ op for op in self.ops)
-        return float(np.max(np.abs(s - np.eye(self.dim))))
+        return float(np.max(np.abs(gram_sum(self.stack) - np.eye(self.dim))))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Raise unless this is a well-formed complete measurement."""
@@ -57,11 +61,23 @@ class GeneralizedMeasurement:
         for r, op in self.kraus:
             if op.shape != (self.dim, self.dim):
                 raise ValueError(f"outcome {r}: operator shape {op.shape} != ({self.dim},{self.dim})")
-            if np.linalg.norm(op) < _ZERO_NORM:
-                raise ValueError(f"outcome {r}: zero operator")
+        zero = np.flatnonzero(_norms(self.stack) < _ZERO_NORM)
+        if zero.size:
+            raise ValueError(f"outcome {self.labels[zero[0]]}: zero operator")
         res = self.completeness_residual()
         if res > tol:
             raise ValueError(f"completeness violated: residual {res:.3e} > {tol:.1e}")
+
+
+def gram_sum(a: np.ndarray) -> np.ndarray:
+    """sum_r A_r†A_r over a (K, m, n) stack, as one product of its (K*m, n) reshape."""
+    rows = a.reshape(-1, a.shape[-1])
+    return rows.conj().T @ rows
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each operator in a (K, m, n) stack."""
+    return np.linalg.norm(a.reshape(a.shape[0], -1), axis=1)
 
 
 def from_kraus(ops, tol: float = DEFAULT_TOL, descriptor: str = "") -> GeneralizedMeasurement:
@@ -84,12 +100,13 @@ def from_kraus(ops, tol: float = DEFAULT_TOL, descriptor: str = "") -> Generaliz
 
 def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
     """Family constructor back end: drop zero operators, relabel, validate."""
-    kept = [np.asarray(a, dtype=complex) for a in ops]
-    dropped = sum(1 for a in kept if np.linalg.norm(a) < _ZERO_NORM)
+    a = np.asarray(ops, dtype=complex)
+    keep = _norms(a) >= _ZERO_NORM
+    kept = a[keep]
+    dropped = int(keep.size - keep.sum())
     if dropped:
-        kept = [a for a in kept if np.linalg.norm(a) >= _ZERO_NORM]
         log.info("%s: dropped %d zero-probability outcome(s)", descriptor, dropped)
-    if not kept:
+    if not len(kept):
         raise ValueError(f"{descriptor}: no nonzero outcomes")
     return from_kraus(kept, descriptor=descriptor)
 
@@ -154,15 +171,11 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     for attempt in range(8):
         rng = np.random.default_rng([seed, attempt])
         b = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
-        s = np.einsum("rji,rjk->ik", b.conj(), b)
         try:
-            s_inv_sqrt = inv_sqrt_psd(s)
+            s_inv_sqrt = inv_sqrt_psd(gram_sum(b))
         except ValueError:
             continue
-        return _from_family(
-            [b[r] @ s_inv_sqrt for r in range(k)],
-            f"random(n={n},k={k},seed={seed})",
-        )
+        return _from_family(b @ s_inv_sqrt, f"random(n={n},k={k},seed={seed})")
     raise ValueError(f"random draw not normalizable after 8 attempts (n={n}, k={k}, seed={seed})")
 
 

@@ -47,20 +47,21 @@ def vec_to_mat(v: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def choi_of_kraus(kraus) -> ChoiState:
-    """Build $ = sum_r vec(A_r) vec(A_r)† from a nonempty uniform Kraus set."""
+    """Build $ = sum_r vec(A_r) vec(A_r)† from a nonempty uniform Kraus set.
+
+    With the vec(A_r) as the rows of a (K, mn) matrix V, $ = V^T conj(V).
+    """
     ops = [np.asarray(a, dtype=complex) for a in kraus]
     if not ops:
         raise ValueError("empty Kraus set")
     m, n = ops[0].shape
-    mat = np.zeros((m * n, m * n), dtype=complex)
-    for a in ops:
-        if a.shape != (m, n):
-            raise ValueError(f"ragged Kraus set: {a.shape} vs ({m},{n})")
-        if np.linalg.norm(a) < 1e-12:
-            raise ValueError("zero Kraus operator")
-        v = mat_to_vec(a)
-        mat += np.outer(v, v.conj())
-    return ChoiState(dim_out=m, dim_in=n, matrix=mat)
+    ragged = next((a.shape for a in ops if a.shape != (m, n)), None)
+    if ragged is not None:
+        raise ValueError(f"ragged Kraus set: {ragged} vs ({m},{n})")
+    v = np.stack(ops).reshape(len(ops), m * n)
+    if np.any(np.linalg.norm(v, axis=1) < 1e-12):
+        raise ValueError("zero Kraus operator")
+    return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ v.conj())
 
 
 def apply_channel(choi: ChoiState, rho: np.ndarray) -> np.ndarray:

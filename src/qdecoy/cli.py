@@ -31,11 +31,20 @@ from .metrics import (
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
+    induced_fidelity_closed,
     induced_fidelity_functional,
 )
 from .ensembles import pairing_ensemble
 from .protocol import run_protocol
-from .tradeoff import BoundViolation, attack_point, disturbance_bound, optimize_attack, saturation_gap, sweep_random
+from .tradeoff import (
+    BoundViolation,
+    attack_point,
+    disturbance_bound,
+    optimize_attack,
+    saturation_gap,
+    sweep_random,
+    trial_seed,
+)
 
 #: exact functional evaluation materializes n^4 matrix entries; simulate is exempt
 _N_CAP = 64
@@ -44,6 +53,11 @@ _N_CAP = 64
 def _usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _runtime_failure(msg: str) -> int:
+    print(f"error: {msg}", file=sys.stderr)
+    return 1
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -130,20 +144,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 worst = min(points, key=lambda p: p.margin)
                 failures.append(f"sweep point below bound: {worst.source} margin={worst.margin!r}")
             for t in range(min(args.trials, 10)):
-                child = int(np.random.SeedSequence(entropy=[int(args.seed), t]).generate_state(1, np.uint64)[0])
-                res_attacks.append(random_attack(args.n, None, seed=child))
+                res_attacks.append(random_attack(args.n, None, seed=trial_seed(args.seed, t)))
 
         pairing = pairing_ensemble(args.n)
         res_g = 0.0
         res_f = 0.0
+        res_closed = 0.0
         for m in res_attacks:
             g_def, _ = estimation_fidelity(m)
             res_g = max(res_g, abs(g_def - estimation_fidelity_functional(m)))
-            res_f = max(res_f, abs(induced_fidelity(m, pairing) - induced_fidelity_functional(m)))
+            f_def = induced_fidelity(m, pairing)
+            res_f = max(res_f, abs(f_def - induced_fidelity_functional(m)))
+            res_closed = max(res_closed, abs(induced_fidelity_closed(m.stack) - f_def))
         if res_g > 1e-12:
             failures.append(f"estimation functional residual {res_g!r} exceeds 1e-12")
         if res_f > 1e-10:
             failures.append(f"fidelity functional residual {res_f!r} exceeds 1e-10")
+        if res_closed > 1e-10:
+            failures.append(f"closed-form fidelity residual {res_closed!r} exceeds 1e-10")
     except BoundViolation as exc:
         print(f"verify: FAIL ({exc})")
         return 1
@@ -155,6 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"max saturation gap (11-point optimal grid): {max_gap:.6e}")
     print(f"max |G_def - G_functional|: {res_g:.6e}")
     print(f"max |F_def - F_functional|: {res_f:.6e}")
+    print(f"max |F_closed - F_def|: {res_closed:.6e}")
     if failures:
         for f in failures:
             print(f"verify: FAIL ({f})")
@@ -168,6 +187,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         attack = parse_descriptor(args.attack)
     except ValueError as exc:
         return _usage(str(exc))
+    except MemoryError:
+        return _runtime_failure(f"not enough memory to build {args.attack}")
     if args.n is not None and args.n != attack.dim:
         return _usage(f"--n {args.n} conflicts with descriptor dimension {attack.dim}")
     if args.shots < 1:
@@ -184,8 +205,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             sample_bob=args.sample_bob,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _runtime_failure(str(exc))
+    except MemoryError:
+        return _runtime_failure(f"not enough memory to simulate {args.shots} shots of {attack.descriptor}")
     _write_output(json.dumps(asdict(report), indent=2) + "\n", args.out)
     return 0
 
@@ -198,7 +220,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         return _usage(f"--g {args.g} outside [1/{args.n}, 1]")
     if args.restarts < 1 or args.iters < 1:
         return _usage("restarts and iters must be positive")
-    point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    try:
+        point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    except RuntimeError as exc:
+        return _runtime_failure(str(exc))
     _write_output(json.dumps(asdict(point), indent=2) + "\n", args.out)
     return 0
 

@@ -1,5 +1,5 @@
-"""Estimation fidelity G, induced fidelity F (disturbance D = 1 - F), and the
-linear-functional forms of both.
+"""Estimation fidelity G, induced fidelity F (disturbance D = 1 - F): the
+evaluator on the hot path and the independent routes that check it.
 
 G is the eavesdropper's mean success probability at naming the transmitted
 basis state: per outcome r she guesses the index j_(r) maximizing
@@ -7,11 +7,22 @@ basis state: per outcome r she guesses the index j_(r) maximizing
 overlap the forwarded state keeps with a decoy, averaged over the pairing
 ensemble; the receiver catches tampering with probability D = 1 - F.
 
-Both quantities are linear in the state operator $ of the attack: G is a trace
-against the block-diagonal operator € built from the guess table, F = Tr(L $)
-for a fixed n^2 x n^2 matrix L (pound_matrix). For attacks with diagonal Kraus
-operators the traces collapse to sums over the diagonal coefficients
-(spectral_quantities), with G = g/n and D = 1/2 - f/(2n^2) exactly.
+The evaluator works on the attack's stacked (K, n, n) Kraus array in
+O(K n^2): estimation_fidelity for G, and induced_fidelity_closed for F, which
+sums the squared decoy amplitudes <phi_jk|A_r|phi_jk> (decoy_amplitudes).
+attack_point, the certification sweep and the protocol's analytic values
+all use it.
+
+The other routes compute the same numbers another way and serve only as
+oracles for `verify` and the tests:
+
+- the definition sum induced_fidelity, over the states of an Ensemble;
+- the linear functionals of the attack's state operator $: G is a trace
+  against the block-diagonal operator € built from the guess table
+  (estimation_fidelity_functional), F = Tr(L $) for a fixed n^2 x n^2
+  matrix L (pound_matrix, induced_fidelity_functional);
+- for attacks with diagonal Kraus operators, the spectral sums
+  (spectral_quantities), with G = g/n and D = 1/2 - f/(2n^2) exactly.
 """
 
 from __future__ import annotations
@@ -22,11 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from .attacks import GeneralizedMeasurement
-from .choi import choi_of_kraus, mat_to_vec
+from .choi import choi_of_kraus
 from .ensembles import Ensemble
 from .linalg import kron
 
 _EURO_DENSE_LIMIT = 4096
+#: diagonal weights within this of an outcome's largest tie; the lowest index wins
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,15 +68,11 @@ class FunctionalMatrices:
 
 def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, GuessTable]:
     """G from the definition: average the best diagonal weight per outcome."""
-    n = m.dim
-    guesses = np.empty(len(m.kraus), dtype=int)
-    weights = np.empty(len(m.kraus))
-    for i, op in enumerate(m.ops):
-        d = np.einsum("ij,ij->j", op.conj(), op).real
-        # lowest index wins among entries within 1e-12 of the max
-        guesses[i] = int(np.argmax(d >= d.max() - 1e-12))
-        weights[i] = d[guesses[i]]
-    return float(weights.sum() / n), GuessTable(guess=guesses, weight=weights)
+    a = m.stack
+    d = np.einsum("rij,rij->rj", a.conj(), a).real  # d[r, j] = <j|A_r†A_r|j>
+    guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - _TIE, axis=1)
+    weights = d[np.arange(len(d)), guesses]
+    return float(weights.sum() / m.dim), GuessTable(guess=guesses, weight=weights)
 
 
 def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
@@ -74,24 +83,44 @@ def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
     """
     n = m.dim
     _, table = estimation_fidelity(m)
-    total = 0.0
-    for op, j in zip(m.ops, table.guess):
-        v = mat_to_vec(op)
-        idx = np.arange(n) * n + j
-        total += float(np.sum(np.abs(v[idx]) ** 2))
-    return total / n
+    vecs = m.stack.reshape(len(table.guess), n * n)
+    idx = np.arange(n) * n + table.guess[:, None]  # vec index (i, j_(r)) per outcome
+    return float(np.sum(np.abs(np.take_along_axis(vecs, idx, axis=1)) ** 2) / n)
+
+
+def decoy_amplitudes(a: np.ndarray) -> np.ndarray:
+    """amp[j*n + k, r] = <phi_jk|A_r|phi_jk> for a (K, n, n) Kraus stack.
+
+    With phi_jk = (|j> + i|k>)/sqrt(2) this is
+    (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where the
+    decoy is |j> itself.
+    """
+    k, n, _ = a.shape
+    diag = np.einsum("rjj->rj", a)
+    amp = 0.5 * (diag[:, :, None] + diag[:, None, :] + 1j * (a - a.transpose(0, 2, 1)))
+    idx = np.arange(n)
+    amp[:, idx, idx] = diag
+    return amp.reshape(k, n * n).T
+
+
+def induced_fidelity_closed(a: np.ndarray) -> float:
+    """F over the pairing ensemble in O(K n^2): sum_{s,r} |amp[s, r]|^2 / n^2."""
+    n = a.shape[1]
+    return float(np.sum(np.abs(decoy_amplitudes(a)) ** 2) / (n * n))
 
 
 def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
     """F from the definition: sum_i p_i sum_r |<phi_i|A_r|phi_i>|^2."""
     if e.dim != m.dim:
         raise ValueError(f"ensemble dimension {e.dim} != measurement dimension {m.dim}")
-    total = 0.0
-    for w, ket in e.items:
-        bra = ket.conj()
-        for op in m.ops:
-            total += w * abs(bra @ op @ ket) ** 2
-    return float(total)
+    weights = np.array([w for w, _ in e.items])
+    kets = np.array([ket for _, ket in e.items])
+    bras = kets.conj()
+    # one outcome at a time keeps the temporary at (states, n)
+    per_state = np.zeros(len(weights))
+    for op in m.stack:
+        per_state += np.abs(np.sum(bras * (kets @ op.T), axis=1)) ** 2
+    return float(weights @ per_state)
 
 
 def beta_vector(n: int) -> np.ndarray:

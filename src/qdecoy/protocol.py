@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import GeneralizedMeasurement
-from .metrics import estimation_fidelity
+from .metrics import decoy_amplitudes, estimation_fidelity, induced_fidelity_closed
 
 #: conditional probabilities within this of 0 or 1 are physically exact events
 #: reported off by float rounding (decoy amplitudes carry 1/sqrt(2) factors)
@@ -74,29 +74,21 @@ def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.
     """Per-state outcome tables: p_msg[j, r], p_decoy[s, r], amp[s, r].
 
     s runs over ordered pairs (j, k) flattened as j*n + k; amp is the decoy's
-    forwarded amplitude <phi_jk|A_r|phi_jk>. Everything is O(K n^2), so the
-    simulator never materializes ensembles or n^4 functional matrices.
+    forwarded amplitude <phi_jk|A_r|phi_jk>. With G_r = A_r†A_r, the decoy
+    probability is (G_jj + G_kk)/2 - Im G_jk, and G_jj on the diagonal.
+    Everything is O(K n^2), so the simulator never materializes ensembles or
+    n^4 functional matrices.
     """
-    n = m.dim
-    k = len(m.kraus)
-    jj = np.repeat(np.arange(n), n)
-    kk = np.tile(np.arange(n), n)
-    same = jj == kk
-    p_msg = np.empty((n, k))
-    p_decoy = np.empty((n * n, k))
-    amp = np.empty((n * n, k), dtype=complex)
-    for i, op in enumerate(m.ops):
-        gram = op.conj().T @ op
-        dg = np.diag(gram).real
-        p_msg[:, i] = dg
-        pd = 0.5 * (dg[jj] + dg[kk]) - gram[jj, kk].imag
-        pd[same] = dg[jj[same]]
-        p_decoy[:, i] = pd
-        da = np.diag(op)
-        am = 0.5 * (da[jj] + da[kk] + 1j * op[jj, kk] - 1j * op[kk, jj])
-        am[same] = da[jj[same]]
-        amp[:, i] = am
-    return p_msg, p_decoy, amp
+    a = m.stack
+    k, n, _ = a.shape
+    gram = a.conj().transpose(0, 2, 1) @ a
+    dg = np.einsum("rjj->rj", gram).real
+    pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
+    idx = np.arange(n)
+    pd[:, idx, idx] = dg
+    p_msg = np.ascontiguousarray(dg.T)
+    p_decoy = np.ascontiguousarray(pd.reshape(k, n * n).T)
+    return p_msg, p_decoy, decoy_amplitudes(a)
 
 
 def _check_complete(rows: np.ndarray, what: str) -> None:
@@ -143,7 +135,7 @@ def run_protocol(
     _check_complete(p_msg, "message words")
     _check_complete(p_decoy, "decoys")
     g_analytic, table = estimation_fidelity(attack)
-    d_analytic = 1.0 - float(np.sum(np.abs(amp) ** 2)) / (n * n)
+    d_analytic = 1.0 - induced_fidelity_closed(attack.stack)
 
     rng = np.random.default_rng(seed)
     u_type = rng.random(shots)

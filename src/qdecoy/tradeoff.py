@@ -26,7 +26,7 @@ from .attacks import (
     projective_attack,
     random_attack,
 )
-from .metrics import estimation_fidelity, induced_fidelity_functional
+from .metrics import estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
 
 #: margins below this are float noise; below _LOUD they indicate a broken attack
 _NOISE = -1e-9
@@ -65,10 +65,10 @@ def disturbance_bound(g: float, n: int) -> float:
 
 
 def attack_point(m: GeneralizedMeasurement, source: str | None = None) -> TradeoffPoint:
-    """Evaluate an attack to a TradeoffPoint via the linear functionals."""
+    """Evaluate an attack to a TradeoffPoint with the O(K n^2) evaluator."""
     n = m.dim
     g, _ = estimation_fidelity(m)
-    d = 1.0 - induced_fidelity_functional(m)
+    d = 1.0 - induced_fidelity_closed(m.stack)
     # completeness noise can push G a few ulp outside [1/n, 1]
     g_eval = min(max(g, 1.0 / n), 1.0)
     if abs(g_eval - g) > 1e-9:
@@ -85,7 +85,11 @@ def attack_point(m: GeneralizedMeasurement, source: str | None = None) -> Tradeo
 
 
 def saturation_gap(n: int, g: float) -> float:
-    """|D - bound| for the saturating family at (n, g); contract: <= 1e-9."""
+    """|D - bound| for the saturating family at (n, g); contract: <= 1e-9.
+
+    D comes from the state-operator route, not from the evaluator that
+    attack_point uses, so this check grades that evaluator independently.
+    """
     m = optimal_attack(n, g)
     d = 1.0 - induced_fidelity_functional(m)
     return abs(d - disturbance_bound(g, n))
@@ -97,6 +101,11 @@ def _check_margin(point: TradeoffPoint) -> None:
             f"attack {point.source!r} lands {-point.margin:.3e} below the proven bound "
             f"(G={point.g!r}, D={point.d!r}); this indicates a broken attack or metric"
         )
+
+
+def trial_seed(seed: int, t: int) -> int:
+    """Seed of random attack t in a sweep seeded with `seed`."""
+    return int(np.random.SeedSequence(entropy=[int(seed), t]).generate_state(1, np.uint64)[0])
 
 
 def sweep_random(
@@ -118,8 +127,7 @@ def sweep_random(
         raise ValueError("need at least one trial")
     points = []
     for t in range(trials):
-        child = int(np.random.SeedSequence(entropy=[int(seed), t]).generate_state(1, np.uint64)[0])
-        points.append(attack_point(random_attack(n, outcomes, seed=child)))
+        points.append(attack_point(random_attack(n, outcomes, seed=trial_seed(seed, t))))
     for m in extra:
         points.append(attack_point(m))
     for p in points:

@@ -42,6 +42,22 @@ class TestFromKraus:
         m = attacks.from_kraus([np.outer(eye[r], eye[r]) for r in range(n)])
         npt.assert_allclose(_coeff_norm_sq(m), n, atol=1e-12)
 
+    def test_zero_operator_message_names_outcome_label(self):
+        eye = np.eye(2, dtype=complex)
+        bad = attacks.GeneralizedMeasurement(
+            dim=2, kraus=((3, eye), (7, np.zeros((2, 2), dtype=complex))), descriptor="corrupt"
+        )
+        with pytest.raises(ValueError, match="outcome 7: zero operator"):
+            bad.validate()
+
+    def test_completeness_residual_matches_loop(self):
+        m = attacks.random_attack(3, 5, seed=4)
+        s = sum(op.conj().T @ op for op in m.ops)
+        npt.assert_allclose(attacks.gram_sum(m.stack), s, rtol=0, atol=1e-14)
+        assert m.completeness_residual() == pytest.approx(
+            float(np.max(np.abs(s - np.eye(3)))), abs=1e-14
+        )
+
     def test_corrupt_instance_fails_validate(self):
         bad = attacks.GeneralizedMeasurement(
             dim=2, kraus=((0, 0.5 * np.eye(2, dtype=complex)),), descriptor="corrupt"
@@ -127,6 +143,17 @@ class TestRandomAttack:
         a = attacks.random_attack(3, 5, seed=1)
         b = attacks.random_attack(3, 5, seed=2)
         assert any(not np.array_equal(x, y) for x, y in zip(a.ops, b.ops))
+
+    def test_whitening_matches_per_outcome_product(self):
+        # same draw as random_attack's first attempt, whitened one outcome at a time
+        rng = np.random.default_rng([5, 0])
+        b = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        s = sum(x.conj().T @ x for x in b)
+        w, v = np.linalg.eigh(s)
+        s_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        m = attacks.random_attack(3, 6, seed=5)
+        for op, x in zip(m.ops, b):
+            npt.assert_allclose(op, x @ s_inv_sqrt, rtol=0, atol=1e-13)
 
     def test_default_outcome_count_is_n_squared(self):
         assert len(attacks.random_attack(3, seed=0).kraus) == 9

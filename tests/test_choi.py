@@ -85,6 +85,20 @@ class TestChoiOfKraus:
             choi.choi_of_kraus([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
             choi.choi_of_kraus([np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="ragged"):
+            choi.choi_of_kraus([np.eye(2), np.eye(2), np.ones((2, 3))])
+        with pytest.raises(ValueError, match="zero Kraus operator"):
+            choi.choi_of_kraus([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+
+    def test_matches_outer_product_sum(self):
+        # rectangular operators, passed as a list and as one stacked array
+        rng = np.random.default_rng(13)
+        ops = [_rand_complex(rng, 2, 3) for _ in range(4)]
+        want = sum(np.outer(choi.mat_to_vec(a), choi.mat_to_vec(a).conj()) for a in ops)
+        for kraus in (ops, np.array(ops)):
+            dollar = choi.choi_of_kraus(kraus)
+            assert (dollar.dim_out, dollar.dim_in) == (2, 3)
+            npt.assert_allclose(dollar.matrix, want, rtol=0, atol=1e-13)
 
 
 class TestApplyChannel:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qdecoy import attacks
 from qdecoy.attacks import GeneralizedMeasurement
 from qdecoy.cli import main
 from qdecoy.tradeoff import disturbance_bound
@@ -98,6 +99,34 @@ class TestVerify:
         assert "corrupt" in out
 
 
+    def test_prints_closed_form_residual(self, capsys):
+        assert main(["verify", "--n", "3", "--trials", "2", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        line = next(x for x in out.splitlines() if x.startswith("max |F_closed - F_def|: "))
+        assert float(line.split(": ")[1]) <= 1e-10
+
+    def test_closed_form_residual_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("qdecoy.cli.induced_fidelity_closed", lambda a: 2.0)
+        assert main(["verify", "--n", "2"]) == 1
+        assert "verify: FAIL (closed-form fidelity residual" in capsys.readouterr().out
+
+    def test_cross_check_attacks_are_the_sweeps_first_ten(self, monkeypatch):
+        for trials in (3, 12):
+            swept, checked = [], []
+
+            def recorder(seen):
+                def build(n, outcomes=None, seed=0):
+                    seen.append(seed)
+                    return attacks.random_attack(n, outcomes, seed=seed)
+                return build
+
+            monkeypatch.setattr("qdecoy.tradeoff.random_attack", recorder(swept))
+            monkeypatch.setattr("qdecoy.cli.random_attack", recorder(checked))
+            assert main(["verify", "--n", "2", "--trials", str(trials), "--seed", "5"]) == 0
+            assert len(swept) == trials
+            assert checked == swept[: min(trials, 10)]
+
+
 class TestSimulate:
     def test_identity_run(self, capsys):
         args = ["simulate", "--attack", "identity(n=2)", "--shots", "2000", "--seed", "0"]
@@ -169,6 +198,20 @@ class TestSimulate:
         assert "boom" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("callee", ["run_protocol", "parse_descriptor"])
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch, callee):
+        def oom(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"qdecoy.cli.{callee}", oom)
+        args = ["simulate", "--attack", "identity(n=2)", "--shots", "10", "--seed", "0"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not enough memory")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestOptimize:
     def test_midrange_target(self, capsys):
         args = ["optimize", "--n", "2", "--g", "0.75", "--restarts", "4", "--seed", "0"]
@@ -190,6 +233,17 @@ class TestOptimize:
             == 2
         )
         capsys.readouterr()
+
+
+    def test_no_feasible_candidate_exits_one(self, capsys, monkeypatch):
+        def infeasible(n, g, **kwargs):
+            raise RuntimeError(f"no feasible candidate found at (n={n}, g={g})")
+
+        monkeypatch.setattr("qdecoy.cli.optimize_attack", infeasible)
+        assert main(["optimize", "--n", "3", "--g", "0.6", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no feasible candidate found at (n=3, g=0.6)\n"
 
 
 class TestParser:

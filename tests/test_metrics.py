@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qdecoy.attacks import (
@@ -14,14 +16,16 @@ from qdecoy.attacks import (
     random_attack,
 )
 from qdecoy.choi import apply_channel, choi_of_kraus, mat_to_vec
-from qdecoy.ensembles import canonical_ensemble, pairing_ensemble
-from qdecoy.linalg import herm_eig, psd_check
+from qdecoy.ensembles import canonical_ensemble, decoy_ket, pairing_ensemble
+from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     banaszek_bound,
+    decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
     functional_matrices,
     induced_fidelity,
+    induced_fidelity_closed,
     induced_fidelity_functional,
     pound_matrix,
     spectral_quantities,
@@ -33,6 +37,25 @@ def _rand_diagonal_attack(n, k, rng):
     a = np.abs(rng.normal(size=(n, k))) + 0.05
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return diagonal_attack([(r, a[:, r]) for r in range(k)])
+
+
+def _named_attacks(n):
+    return [
+        identity_attack(n),
+        projective_attack(n),
+        *(optimal_attack(n, g) for g in (1.0 / n, 0.5, 0.9, 1.0)),
+        *(probabilistic_attack(n, p) for p in (0.0, 0.3, 1.0)),
+    ]
+
+
+def _guesses_by_loop(m):
+    """Per-outcome reference for the tie rule: lowest index within 1e-12 of the max."""
+    guesses, weights = [], []
+    for op in m.ops:
+        d = np.einsum("ij,ij->j", op.conj(), op).real
+        guesses.append(int(np.argmax(d >= d.max() - 1e-12)))
+        weights.append(d[guesses[-1]])
+    return np.array(guesses), np.array(weights)
 
 
 class TestEstimationFidelity:
@@ -76,6 +99,17 @@ class TestEstimationFidelity:
         assert table.guess[0] == 0
         assert_allclose(table.weight[0], 0.3, rtol=0, atol=1e-15)
 
+    def test_tie_rule_matches_per_outcome_loop(self):
+        # identity and prob (its last outcome) tie over every index, optimal at
+        # g = 1/n ties in every outcome, projective has one strict maximum each
+        for n in (2, 3, 5):
+            for m in _named_attacks(n) + [random_attack(n, seed=3)]:
+                g, table = estimation_fidelity(m)
+                guesses, weights = _guesses_by_loop(m)
+                assert_array_equal(table.guess, guesses)
+                assert_allclose(table.weight, weights, rtol=0, atol=1e-15)
+                assert_allclose(g, weights.sum() / n, rtol=0, atol=1e-15)
+
     def test_random_attacks_stay_in_range(self):
         for seed in range(20):
             m = random_attack(3, seed=seed)
@@ -113,6 +147,64 @@ class TestFunctionalEquivalence:
                 assert_allclose(
                     induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10
                 )
+
+
+class TestClosedForm:
+    def test_amplitudes_are_decoy_overlaps(self):
+        for n in (2, 3, 4):
+            m = random_attack(n, outcomes=5, seed=n)
+            amp = decoy_amplitudes(m.stack)
+            assert amp.shape == (n * n, 5)
+            for j in range(n):
+                for k in range(n):
+                    ket = decoy_ket(j, k, n)
+                    want = [ket.conj() @ op @ ket for op in m.ops]
+                    assert_allclose(amp[j * n + k], want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_three_routes_agree_on_random_attacks(self, n):
+        pairing = pairing_ensemble(n)
+        for k in (1, n, n * n, n * n + 3):
+            for seed in range(3):
+                m = random_attack(n, outcomes=k, seed=seed)
+                f_def = induced_fidelity(m, pairing)
+                assert_allclose(induced_fidelity_closed(m.stack), f_def, rtol=0, atol=1e-10)
+                assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_three_routes_agree_on_named_families(self, n):
+        pairing = pairing_ensemble(n)
+        for m in _named_attacks(n):
+            f_def = induced_fidelity(m, pairing)
+            assert_allclose(induced_fidelity_closed(m.stack), f_def, rtol=0, atol=1e-10)
+            assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_routes_agree_on_arbitrary_whitened_sets(self, n, k, data):
+        parts = data.draw(
+            st.lists(
+                st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+                min_size=2 * k * n * n,
+                max_size=2 * k * n * n,
+            )
+        )
+        x = np.array(parts).reshape(2, k, n, n)
+        b = x[0] + 1j * x[1]
+        gram = np.einsum("rji,rjk->ik", b.conj(), b)
+        assume(np.linalg.eigvalsh(gram)[0] > 1e-3)
+        ops = b @ inv_sqrt_psd(gram)
+        assume(all(np.linalg.norm(op) > 1e-6 for op in ops))
+        m = from_kraus(ops)
+        f_def = induced_fidelity(m, pairing_ensemble(n))
+        assert_allclose(induced_fidelity_closed(m.stack), f_def, rtol=0, atol=1e-10)
+        assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
+        g_def, _ = estimation_fidelity(m)
+        assert_allclose(estimation_fidelity_functional(m), g_def, rtol=0, atol=1e-12)
 
 
 class TestInducedFidelity:

@@ -14,7 +14,7 @@ from qdecoy.attacks import (
 )
 from qdecoy.ensembles import pairing_ensemble
 from qdecoy.metrics import estimation_fidelity, induced_fidelity
-from qdecoy.protocol import run_protocol, trial_trace
+from qdecoy.protocol import _pair_tables, run_protocol, trial_trace
 
 
 class TestRunProtocol:
@@ -91,6 +91,20 @@ class TestRunProtocol:
         )
         with pytest.raises(ValueError, match="not complete"):
             run_protocol(2, bad, shots=10, seed=0)
+
+    def test_pair_tables_match_decoy_states(self):
+        # every table entry from its definition on the decoy ket
+        for m in (random_attack(3, outcomes=4, seed=2), probabilistic_attack(3, 0.3)):
+            n = m.dim
+            p_msg, p_decoy, amp = _pair_tables(m)
+            for r, op in enumerate(m.ops):
+                gram = op.conj().T @ op
+                assert_allclose(p_msg[:, r], np.diag(gram).real, rtol=0, atol=1e-15)
+                for j, k in np.ndindex(n, n):
+                    ket = pairing_ensemble(n).items[j * n + k][1]
+                    want_p = (ket.conj() @ gram @ ket).real
+                    assert_allclose(p_decoy[j * n + k, r], want_p, rtol=0, atol=1e-15)
+                    assert_allclose(amp[j * n + k, r], ket.conj() @ op @ ket, rtol=0, atol=1e-15)
 
     def test_argument_guards(self):
         m = identity_attack(2)

@@ -9,6 +9,7 @@ from qdecoy.attacks import (
     identity_attack,
     probabilistic_attack,
     projective_attack,
+    random_attack,
 )
 from qdecoy.tradeoff import (
     BoundViolation,
@@ -17,6 +18,7 @@ from qdecoy.tradeoff import (
     optimize_attack,
     saturation_gap,
     sweep_random,
+    trial_seed,
 )
 
 
@@ -124,6 +126,17 @@ class TestSweepRandom:
         assert a == b
         c = sweep_random(3, trials=8, seed=43)
         assert c[0] != a[0]
+
+    def test_trial_seeds_are_frozen(self):
+        # the per-trial stream: SeedSequence(entropy=[seed, t]), first uint64 word
+        assert [trial_seed(7, t) for t in range(3)] == [
+            16920295385781661272,
+            6635463128224577688,
+            18279110831140952437,
+        ]
+        points, _ = sweep_random(2, trials=3, seed=7)
+        for t, p in enumerate(points):
+            assert p == attack_point(random_attack(2, seed=trial_seed(7, t)))
 
     def test_broken_attack_raises(self):
         bad = GeneralizedMeasurement(
