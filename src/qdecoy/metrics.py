@@ -103,10 +103,14 @@ def decoy_amplitudes(a: np.ndarray) -> np.ndarray:
     return amp.reshape(k, n * n).T
 
 
+def pairing_fidelity(amp: np.ndarray) -> float:
+    """F from the (n^2, K) decoy amplitudes: sum_{s,r} |amp[s, r]|^2 / n^2."""
+    return float(np.sum(np.abs(amp) ** 2) / amp.shape[0])
+
+
 def induced_fidelity_closed(a: np.ndarray) -> float:
-    """F over the pairing ensemble in O(K n^2): sum_{s,r} |amp[s, r]|^2 / n^2."""
-    n = a.shape[1]
-    return float(np.sum(np.abs(decoy_amplitudes(a)) ** 2) / (n * n))
+    """F over the pairing ensemble in O(K n^2), from `decoy_amplitudes`."""
+    return pairing_fidelity(decoy_amplitudes(a))
 
 
 def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:

@@ -13,6 +13,11 @@ d_hat estimates the receiver's detection rate on decoy trials. By default the
 detection score uses the exact conditional probability per trial (half the
 variance of sampling the receiver's bit; identical in expectation); pass
 sample_bob=True to sample it.
+
+Cost: the per-state tables and their CDFs are O(n^2 K), built once per run
+whatever the shot count; each trial's outcome is a binary search in its sent
+state's CDF. Beyond the tables a run holds about 66 bytes per shot (the five
+random draws and the per-trial index arrays), never a shots x K array.
 """
 
 from __future__ import annotations
@@ -22,11 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import GeneralizedMeasurement
-from .metrics import decoy_amplitudes, estimation_fidelity, induced_fidelity_closed
+from .metrics import decoy_amplitudes, estimation_fidelity, pairing_fidelity
 
 #: conditional probabilities within this of 0 or 1 are physically exact events
 #: reported off by float rounding (decoy amplitudes carry 1/sqrt(2) factors)
 _SNAP = 1e-12
+
+#: an attack whose outcome probabilities for some sent state sum further than
+#: this from 1 is not complete and is rejected
+_COMPLETE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.
 
 def _check_complete(rows: np.ndarray, what: str) -> None:
     worst = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
-    if worst > 1e-9:
+    if worst > _COMPLETE_TOL:
         raise ValueError(
             f"outcome probabilities over {what} sum off by {worst:.3e}; the attack is not complete"
         )
@@ -105,12 +114,24 @@ def _snap_unit(q: np.ndarray) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
-def _sample_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one outcome per trial from the normalized rows of a probability table."""
-    probs = table[rows]
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    return np.minimum((u[:, None] > cum).sum(axis=1), table.shape[1] - 1)
+def _sample_outcomes(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw one outcome per trial: trial i samples row rows[i] of `table` with uniform u[i].
+
+    Each row is normalized and cumulated once; the trials are grouped by row
+    and each group is one binary search in that row's CDF. Entries are clamped
+    at 0 first so every CDF is non-decreasing, which makes searchsorted's
+    left insertion point exactly the count of CDF entries below u.
+    """
+    probs = np.maximum(table, 0.0)
+    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=table.shape[0])
+    ends = np.cumsum(counts)
+    out = np.empty(rows.shape[0], dtype=np.intp)
+    for s in np.flatnonzero(counts):
+        idx = order[ends[s] - counts[s] : ends[s]]
+        out[idx] = np.searchsorted(cum[s], u[idx], side="left")
+    return np.minimum(out, table.shape[1] - 1)
 
 
 def run_protocol(
@@ -135,7 +156,7 @@ def run_protocol(
     _check_complete(p_msg, "message words")
     _check_complete(p_decoy, "decoys")
     g_analytic, table = estimation_fidelity(attack)
-    d_analytic = 1.0 - induced_fidelity_closed(attack.stack)
+    d_analytic = 1.0 - pairing_fidelity(amp)
 
     rng = np.random.default_rng(seed)
     u_type = rng.random(shots)
@@ -151,7 +172,7 @@ def run_protocol(
     n_msg = int(np.sum(~is_decoy))
     if n_msg:
         sent = j_draw[~is_decoy]
-        r = _sample_rows(p_msg, sent, u_out[~is_decoy])
+        r = _sample_outcomes(p_msg, sent, u_out[~is_decoy])
         hits = table.guess[r] == sent
         g_hat = float(np.mean(hits))
         g_se = float(np.sqrt(g_hat * (1.0 - g_hat) / n_msg))
@@ -160,7 +181,7 @@ def run_protocol(
     n_dec = int(np.sum(is_decoy))
     if n_dec:
         sent = pair_draw[is_decoy]
-        r = _sample_rows(p_decoy, sent, u_out[is_decoy])
+        r = _sample_outcomes(p_decoy, sent, u_out[is_decoy])
         p_r = p_decoy[sent, r]
         intact = np.where(p_r > 0, np.abs(amp[sent, r]) ** 2 / np.where(p_r > 0, p_r, 1.0), 1.0)
         detect = _snap_unit(1.0 - intact)
@@ -217,10 +238,8 @@ def trial_trace(n: int, attack: GeneralizedMeasurement, trial_spec: tuple, seed:
     else:
         raise ValueError(f"unknown trial kind {trial_spec[0]!r}")
 
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total!r}; the attack is not complete")
-    r = int(_sample_rows(probs[None, :], np.array([0]), rng.random(1))[0])
+    _check_complete(probs[None, :], "the sent state")
+    r = int(_sample_outcomes(probs[None, :], np.array([0]), rng.random(1))[0])
 
     if trial_spec[0] == "message":
         guess = int(table.guess[r])

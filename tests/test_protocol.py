@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo decoy protocol simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,8 +15,67 @@ from qdecoy.attacks import (
     random_attack,
 )
 from qdecoy.ensembles import pairing_ensemble
-from qdecoy.metrics import estimation_fidelity, induced_fidelity
-from qdecoy.protocol import _pair_tables, run_protocol, trial_trace
+from qdecoy.metrics import estimation_fidelity, induced_fidelity, induced_fidelity_closed
+from qdecoy.protocol import (
+    SimReport,
+    _pair_tables,
+    _sample_outcomes,
+    run_protocol,
+    trial_trace,
+)
+
+
+def _sample_rows(table, rows, u):
+    """Reference sampler: gathers a (trials, K) table of rows and counts u > cumsum."""
+    probs = table[rows]
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    return np.minimum((u[:, None] > cum).sum(axis=1), table.shape[1] - 1)
+
+
+def _sampler_attacks():
+    for n in range(2, 9):
+        yield identity_attack(n)
+        yield projective_attack(n)
+        for g in (1.0 / n, 0.5 * (1.0 + 1.0 / n), 1.0):
+            yield optimal_attack(n, g)
+        for p in (0.0, 0.3, 1.0):
+            yield probabilistic_attack(n, p)
+        for k in (1, n, n * n, n * n + 3):
+            yield random_attack(n, outcomes=k, seed=n + k)
+
+
+class TestSampler:
+    def test_matches_reference_on_every_family(self):
+        rng = np.random.default_rng(0)
+        for m in _sampler_attacks():
+            p_msg, p_decoy, _ = _pair_tables(m)
+            for table in (p_msg, p_decoy):
+                rows = rng.integers(0, table.shape[0], size=1500)
+                u = rng.random(1500)
+                np.testing.assert_array_equal(
+                    _sample_outcomes(table, rows, u), _sample_rows(table, rows, u), err_msg=m.descriptor
+                )
+
+    def test_uniforms_on_cdf_entries(self):
+        # u equal to a CDF entry is where "count of entries below u" is decided by ties
+        m = random_attack(3, outcomes=5, seed=4)
+        _, p_decoy, _ = _pair_tables(m)
+        cum = np.cumsum(p_decoy / p_decoy.sum(axis=1, keepdims=True), axis=1)
+        rows = np.repeat(np.arange(p_decoy.shape[0]), cum.shape[1] + 2)
+        u = np.concatenate([np.concatenate([[0.0], c, [np.nextafter(c[-1], 2.0)]]) for c in cum])
+        np.testing.assert_array_equal(_sample_outcomes(p_decoy, rows, u), _sample_rows(p_decoy, rows, u))
+
+    def test_single_row(self):
+        # the shape trial_trace passes: one row, one trial
+        rng = np.random.default_rng(1)
+        for m in (projective_attack(3), random_attack(4, seed=2), optimal_attack(2, 0.75)):
+            p_msg, p_decoy, _ = _pair_tables(m)
+            for probs in (*p_msg, *p_decoy):
+                for u in rng.random((4, 1)):
+                    got = _sample_outcomes(probs[None, :], np.array([0]), u)
+                    assert got.shape == (1,)
+                    assert got[0] == _sample_rows(probs[None, :], np.array([0]), u)[0]
 
 
 class TestRunProtocol:
@@ -84,6 +145,41 @@ class TestRunProtocol:
                 d_def = 1.0 - induced_fidelity(m, pairing_ensemble(n))
                 assert_allclose(rep.g_analytic, g_def, rtol=0, atol=1e-12)
                 assert_allclose(rep.d_analytic, d_def, rtol=0, atol=1e-12)
+                d_closed = 1.0 - induced_fidelity_closed(m.stack)
+                assert_allclose(rep.d_analytic, d_closed, rtol=0, atol=1e-15)
+
+    def test_seeded_report_pinned(self):
+        # recorded from the shots x K sampler this one replaced; the random stream is unchanged
+        rep = run_protocol(16, random_attack(16, seed=1), 100000, seed=1)
+        assert rep == SimReport(
+            n=16,
+            shots=100000,
+            decoy_fraction=0.5,
+            seed=1,
+            attack_descriptor="random(n=16,k=256,seed=1)",
+            sample_bob=False,
+            message_trials=49950,
+            decoy_trials=50050,
+            g_hat=0.09293293293293294,
+            g_se=0.0012990826278040132,
+            g_analytic=0.09323157539571354,
+            g_within_4se=True,
+            d_hat=0.9383213110897202,
+            d_se=0.0010753288951102895,
+            d_analytic=0.937611419932862,
+            d_within_4se=True,
+        )
+
+    def test_memory_does_not_scale_with_shots_times_outcomes(self):
+        # K = 256: a (shots, K) float table alone would be 390 MiB at 2e5 shots
+        m = random_attack(16, seed=1)
+        tracemalloc.start()
+        try:
+            run_protocol(16, m, 200000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_incomplete_attack_rejected(self):
         bad = GeneralizedMeasurement(
