@@ -12,7 +12,6 @@ from .linalg import (
     herm_eig,
     inv_sqrt_psd,
     is_hermitian,
-    kron,
     partial_trace,
     psd_check,
 )
@@ -45,14 +44,12 @@ from .attacks import (
     random_attack,
 )
 from .metrics import (
-    FunctionalMatrices,
     GuessTable,
     banaszek_bound,
     beta_vector,
     decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
-    functional_matrices,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOL",
-    "kron",
     "partial_trace",
     "herm_eig",
     "psd_check",
@@ -103,14 +99,12 @@ __all__ = [
     "diagonal_attack",
     "parse_descriptor",
     "GuessTable",
-    "FunctionalMatrices",
     "estimation_fidelity",
     "estimation_fidelity_functional",
     "decoy_amplitudes",
     "induced_fidelity",
     "induced_fidelity_closed",
     "induced_fidelity_functional",
-    "functional_matrices",
     "spectral_quantities",
     "banaszek_bound",
     "pound_matrix",

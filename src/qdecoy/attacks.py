@@ -14,56 +14,52 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, inv_sqrt_psd
+from .linalg import DEFAULT_TOL, check_dim, inv_sqrt_psd
 
 log = logging.getLogger(__name__)
 
 _ZERO_NORM = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedMeasurement:
-    """Kraus set {A_r} labeled by outcome index; descriptor is provenance text.
+    """Kraus set {A_r} as one read-only (K, n, n) complex array, in outcome order.
 
-    Construction does not validate (tests need to build corrupt instances);
-    use from_kraus or call validate() to enforce completeness.
+    The operators are copied once on construction, so later changes to the
+    caller's arrays do not reach the attack. Construction checks only the
+    shape, not completeness (tests need to build corrupt instances); use
+    from_kraus or call validate() to enforce it. descriptor is provenance text.
     """
 
-    dim: int
-    kraus: tuple  # of (label, operator) pairs
+    ops: np.ndarray
     descriptor: str = ""
 
-    @property
-    def ops(self) -> tuple:
-        return tuple(op for _, op in self.kraus)
+    def __post_init__(self):
+        ops = np.array(self.ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"Kraus operators must form a (K, n, n) stack, got shape {ops.shape}")
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
 
     @property
-    def labels(self) -> tuple:
-        return tuple(r for r, _ in self.kraus)
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The operators as one new (K, n, n) complex array, in outcome order."""
-        return np.array(self.ops, dtype=complex)
+    def dim(self) -> int:
+        return self.ops.shape[1]
 
     def completeness_residual(self) -> float:
         """Max-norm of sum_r A_r†A_r - Id."""
-        return float(np.max(np.abs(gram_sum(self.stack) - np.eye(self.dim))))
+        return float(np.max(np.abs(gram_sum(self.ops) - np.eye(self.dim))))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Raise unless this is a well-formed complete measurement."""
-        if not self.kraus:
+        if not len(self.ops):
             raise ValueError("measurement has no outcomes")
-        for r, op in self.kraus:
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(f"outcome {r}: operator shape {op.shape} != ({self.dim},{self.dim})")
-        zero = np.flatnonzero(_norms(self.stack) < _ZERO_NORM)
+        zero = np.flatnonzero(_norms(self.ops) < _ZERO_NORM)
         if zero.size:
-            raise ValueError(f"outcome {self.labels[zero[0]]}: zero operator")
+            raise ValueError(f"outcome {zero[0]}: zero operator")
         res = self.completeness_residual()
         if res > tol:
             raise ValueError(f"completeness violated: residual {res:.3e} > {tol:.1e}")
@@ -81,25 +77,16 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def from_kraus(ops, tol: float = DEFAULT_TOL, descriptor: str = "") -> GeneralizedMeasurement:
-    """Validated measurement from a nonempty list of square operators."""
-    arr = [np.array(op, dtype=complex) for op in ops]
-    if not arr:
-        raise ValueError("empty Kraus list")
-    n = arr[0].shape[0] if arr[0].ndim == 2 else 0
-    for a in arr:
-        if a.ndim != 2 or a.shape != (n, n):
-            raise ValueError("Kraus operators must be square and uniform in size")
-    m = GeneralizedMeasurement(
-        dim=n,
-        kraus=tuple((r, a) for r, a in enumerate(arr)),
-        descriptor=descriptor or f"custom(n={n},k={len(arr)})",
-    )
+    """Validated measurement from a nonempty list of uniform square operators."""
+    m = GeneralizedMeasurement(ops, descriptor)
+    if not descriptor:
+        m = replace(m, descriptor=f"custom(n={m.dim},k={len(m.ops)})")
     m.validate(tol)
     return m
 
 
 def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
-    """Family constructor back end: drop zero operators, relabel, validate."""
+    """Family constructor back end: drop zero operators, validate."""
     a = np.asarray(ops, dtype=complex)
     keep = _norms(a) >= _ZERO_NORM
     kept = a[keep]
@@ -111,19 +98,24 @@ def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
     return from_kraus(kept, descriptor=descriptor)
 
 
+def _basis_projectors(n: int) -> np.ndarray:
+    """The (n, n, n) stack of basis projectors |r><r|."""
+    proj = np.zeros((n, n, n), dtype=complex)
+    idx = np.arange(n)
+    proj[idx, idx, idx] = 1.0
+    return proj
+
+
 def identity_attack(n: int) -> GeneralizedMeasurement:
     """Single-outcome do-nothing measurement {Id}."""
-    _check_dim(n)
+    check_dim(n)
     return _from_family([np.eye(n, dtype=complex)], f"identity(n={n})")
 
 
 def projective_attack(n: int) -> GeneralizedMeasurement:
     """Full basis readout {|r><r|}."""
-    _check_dim(n)
-    eye = np.eye(n, dtype=complex)
-    return _from_family(
-        [np.outer(eye[r], eye[r]) for r in range(n)], f"projective(n={n})"
-    )
+    check_dim(n)
+    return _from_family(_basis_projectors(n), f"projective(n={n})")
 
 
 def optimal_attack(n: int, g: float) -> GeneralizedMeasurement:
@@ -132,28 +124,23 @@ def optimal_attack(n: int, g: float) -> GeneralizedMeasurement:
     Its estimation fidelity is exactly g and its disturbance meets the
     tradeoff bound with equality for every g in [1/n, 1].
     """
-    _check_dim(n)
+    check_dim(n)
     g = float(g)
     if not 1.0 / n <= g <= 1.0:
         raise ValueError(f"estimation fidelity target {g} outside [1/{n}, 1]")
     mu = np.sqrt((1.0 - g) / (n - 1))
-    eye = np.eye(n, dtype=complex)
-    ops = []
-    for r in range(n):
-        proj = np.outer(eye[r], eye[r])
-        ops.append(np.sqrt(g) * proj + mu * (eye - proj))
+    proj = _basis_projectors(n)
+    ops = np.sqrt(g) * proj + mu * (np.eye(n, dtype=complex) - proj)
     return _from_family(ops, f"optimal(n={n},g={g!r})")
 
 
 def probabilistic_attack(n: int, p: float) -> GeneralizedMeasurement:
     """Intercept with probability p: {sqrt(p)|r><r|} plus sqrt(1-p) Id."""
-    _check_dim(n)
+    check_dim(n)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"interception probability {p} outside [0, 1]")
-    eye = np.eye(n, dtype=complex)
-    ops = [np.sqrt(p) * np.outer(eye[r], eye[r]) for r in range(n)]
-    ops.append(np.sqrt(1.0 - p) * eye)
+    ops = np.concatenate([np.sqrt(p) * _basis_projectors(n), [np.sqrt(1.0 - p) * np.eye(n)]])
     return _from_family(ops, f"prob(n={n},p={p!r})")
 
 
@@ -164,7 +151,7 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     S = sum B_r†B_r, and returns {B_r S^(-1/2)}. Deterministic per seed;
     singular draws are retried on fresh substreams (at most 8).
     """
-    _check_dim(n)
+    check_dim(n)
     k = n * n if outcomes is None else int(outcomes)
     if k < 1:
         raise ValueError("need at least one outcome")
@@ -179,32 +166,25 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     raise ValueError(f"random draw not normalizable after 8 attempts (n={n}, k={k}, seed={seed})")
 
 
-def diagonal_attack(coeffs) -> GeneralizedMeasurement:
-    """Measurement from a table of (outcome label, diagonal entries) rows.
+def diagonal_attack(rows) -> GeneralizedMeasurement:
+    """Measurement from a (K, n) table whose row r is the diagonal of A_r.
 
-    The entries a_jr must satisfy completeness sum_r |a_jr|^2 = 1 per j, which
-    forces the total coefficient norm sum |a_jr|^2 = n.
+    The entries a_rj must satisfy completeness sum_r |a_rj|^2 = 1 per level j,
+    which forces the total coefficient norm sum |a_rj|^2 = n.
     """
-    rows = [(r, np.asarray(a, dtype=complex)) for r, a in coeffs]
-    if not rows:
-        raise ValueError("empty coefficient table")
-    n = rows[0][1].shape[0]
-    total = 0.0
-    col = np.zeros(n)
-    for _, a in rows:
-        if a.shape != (n,):
-            raise ValueError("ragged coefficient table")
-        total += float(np.sum(np.abs(a) ** 2))
-        col += np.abs(a) ** 2
+    a = np.asarray(rows, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"coefficient table must be a (K, n) array, got shape {a.shape}")
+    k, n = a.shape
+    weight = np.abs(a) ** 2
+    total = float(weight.sum())
     if abs(total - n) > n * DEFAULT_TOL:
         raise ValueError(f"coefficient norm^2 is {total!r}, expected {n}")
-    if np.max(np.abs(col - 1.0)) > DEFAULT_TOL:
+    if np.max(np.abs(weight.sum(axis=0) - 1.0)) > DEFAULT_TOL:
         raise ValueError("completeness violated: per-level outcome weights do not sum to 1")
-    m = GeneralizedMeasurement(
-        dim=n,
-        kraus=tuple((int(r), np.diag(a)) for r, a in rows),
-        descriptor=f"diagonal(n={n},k={len(rows)})",
-    )
+    ops = np.zeros((k, n, n), dtype=complex)
+    ops[:, np.arange(n), np.arange(n)] = a
+    m = GeneralizedMeasurement(ops, f"diagonal(n={n},k={k})")
     m.validate()
     return m
 
@@ -248,8 +228,3 @@ def parse_descriptor(text: str) -> GeneralizedMeasurement:
     if name == "random":
         kwargs["outcomes"] = kwargs.pop("k", None)
     return ctor(**kwargs)
-
-
-def _check_dim(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")

@@ -58,7 +58,7 @@ def choi_of_kraus(kraus) -> ChoiState:
     ragged = next((a.shape for a in ops if a.shape != (m, n)), None)
     if ragged is not None:
         raise ValueError(f"ragged Kraus set: {ragged} vs ({m},{n})")
-    v = np.stack(ops).reshape(len(ops), m * n)
+    v = np.array(ops).reshape(len(ops), m * n)
     if np.any(np.linalg.norm(v, axis=1) < 1e-12):
         raise ValueError("zero Kraus operator")
     return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ v.conj())

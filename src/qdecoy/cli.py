@@ -35,8 +35,10 @@ from .metrics import (
     induced_fidelity_functional,
 )
 from .ensembles import pairing_ensemble
+from .linalg import check_dim
 from .protocol import run_protocol
 from .tradeoff import (
+    _NOISE,
     BoundViolation,
     attack_point,
     disturbance_bound,
@@ -48,6 +50,13 @@ from .tradeoff import (
 
 #: exact functional evaluation materializes n^4 matrix entries; simulate is exempt
 _N_CAP = 64
+
+#: verify's largest accepted |D - bound| on the saturating family
+_SATURATION_TOL = 1e-9
+#: verify's largest accepted |G_def - G_functional|
+_G_ROUTE_TOL = 1e-12
+#: verify's largest accepted gap between two routes to F
+_F_ROUTE_TOL = 1e-10
 
 
 def _usage(msg: str) -> int:
@@ -77,12 +86,20 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
-def _check_n(n: int, cap: int | None = _N_CAP) -> str | None:
-    if n < 2:
-        return f"need dimension n >= 2, got {n}"
-    if cap is not None and n > cap:
-        return f"n = {n} exceeds the exact-evaluation cap {cap}"
+def _check_n(n: int) -> str | None:
+    try:
+        check_dim(n)
+    except ValueError as exc:
+        return str(exc)
+    if n > _N_CAP:
+        return f"n = {n} exceeds the exact-evaluation cap {_N_CAP}"
     return None
+
+
+def _sci(tol: float) -> str:
+    """A tolerance as short scientific text: 1e-9, not 1e-09."""
+    mantissa, exponent = f"{tol:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -127,20 +144,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         named_points = [attack_point(m) for m in named]
         min_named = min(p.margin for p in named_points)
         for p in named_points:
-            if p.margin < -1e-9:
+            if p.margin < _NOISE:
                 failures.append(f"named attack below bound: {p.source} margin={p.margin!r}")
 
         gaps = [saturation_gap(args.n, g) for g in g_grid]
         max_gap = max(gaps)
-        if max_gap > 1e-9:
+        if max_gap > _SATURATION_TOL:
             worst = g_grid[int(np.argmax(gaps))]
-            failures.append(f"saturation gap {max_gap!r} at g={worst!r} exceeds 1e-9")
+            failures.append(f"saturation gap {max_gap!r} at g={worst!r} exceeds {_sci(_SATURATION_TOL)}")
 
         res_attacks = list(named)
         min_sweep = None
         if args.trials > 0:
             points, min_sweep = sweep_random(args.n, args.trials, seed=args.seed)
-            if min_sweep < -1e-9:
+            if min_sweep < _NOISE:
                 worst = min(points, key=lambda p: p.margin)
                 failures.append(f"sweep point below bound: {worst.source} margin={worst.margin!r}")
             for t in range(min(args.trials, 10)):
@@ -155,13 +172,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             res_g = max(res_g, abs(g_def - estimation_fidelity_functional(m)))
             f_def = induced_fidelity(m, pairing)
             res_f = max(res_f, abs(f_def - induced_fidelity_functional(m)))
-            res_closed = max(res_closed, abs(induced_fidelity_closed(m.stack) - f_def))
-        if res_g > 1e-12:
-            failures.append(f"estimation functional residual {res_g!r} exceeds 1e-12")
-        if res_f > 1e-10:
-            failures.append(f"fidelity functional residual {res_f!r} exceeds 1e-10")
-        if res_closed > 1e-10:
-            failures.append(f"closed-form fidelity residual {res_closed!r} exceeds 1e-10")
+            res_closed = max(res_closed, abs(induced_fidelity_closed(m.ops) - f_def))
+        if res_g > _G_ROUTE_TOL:
+            failures.append(f"estimation functional residual {res_g!r} exceeds {_sci(_G_ROUTE_TOL)}")
+        if res_f > _F_ROUTE_TOL:
+            failures.append(f"fidelity functional residual {res_f!r} exceeds {_sci(_F_ROUTE_TOL)}")
+        if res_closed > _F_ROUTE_TOL:
+            failures.append(f"closed-form fidelity residual {res_closed!r} exceeds {_sci(_F_ROUTE_TOL)}")
     except BoundViolation as exc:
         print(f"verify: FAIL ({exc})")
         return 1

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_dim
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -40,11 +42,6 @@ class Ensemble:
         return rho
 
 
-def _check_dim(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
-
-
 def _check_index(j: int, n: int) -> None:
     if not 0 <= j < n:
         raise ValueError(f"basis index {j} out of range for dimension {n}")
@@ -52,7 +49,7 @@ def _check_index(j: int, n: int) -> None:
 
 def canonical_ensemble(n: int) -> Ensemble:
     """Uniform mixture of the n basis states: the message words."""
-    _check_dim(n)
+    check_dim(n)
     eye = np.eye(n, dtype=complex)
     return Ensemble(dim=n, items=tuple((1.0 / n, eye[j]) for j in range(n)))
 
@@ -73,7 +70,7 @@ def decoy_ket(j: int, k: int, n: int) -> np.ndarray:
 
 def pairing_ensemble(n: int) -> Ensemble:
     """Uniform mixture of the n^2 decoy states over ordered pairs (j, k)."""
-    _check_dim(n)
+    check_dim(n)
     w = 1.0 / (n * n)
     items = tuple(
         (w, decoy_ket(j, k, n)) for j in range(n) for k in range(n)

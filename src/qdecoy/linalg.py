@@ -13,9 +13,10 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with block (i, j) equal to a[i, j] * b."""
-    return np.kron(np.asarray(a), np.asarray(b))
+def check_dim(n: int) -> None:
+    """Raise unless n is a channel dimension, n >= 2."""
+    if n < 2:
+        raise ValueError(f"need dimension n >= 2, got {n}")
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

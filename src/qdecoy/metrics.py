@@ -7,7 +7,7 @@ basis state: per outcome r she guesses the index j_(r) maximizing
 overlap the forwarded state keeps with a decoy, averaged over the pairing
 ensemble; the receiver catches tampering with probability D = 1 - F.
 
-The evaluator works on the attack's stacked (K, n, n) Kraus array in
+The evaluator works on the attack's (K, n, n) Kraus array `ops` in
 O(K n^2): estimation_fidelity for G, and induced_fidelity_closed for F, which
 sums the squared decoy amplitudes <phi_jk|A_r|phi_jk> (decoy_amplitudes).
 attack_point, the certification sweep and the protocol's analytic values
@@ -35,9 +35,7 @@ import numpy as np
 from .attacks import GeneralizedMeasurement
 from .choi import choi_of_kraus
 from .ensembles import Ensemble
-from .linalg import kron
 
-_EURO_DENSE_LIMIT = 4096
 #: diagonal weights within this of an outcome's largest tie; the lowest index wins
 _TIE = 1e-12
 
@@ -50,25 +48,9 @@ class GuessTable:
     weight: np.ndarray
 
 
-@dataclass(frozen=True)
-class FunctionalMatrices:
-    """The fixed operators behind the linear-functional forms of G and F.
-
-    euro is None when the composite dimension n^2 * outcomes exceeds the dense
-    materialization limit; the blockwise evaluation never builds it.
-    """
-
-    euro: np.ndarray | None
-    pound: np.ndarray
-    p_rep: np.ndarray
-    p_nonrep: np.ndarray
-    p_beta: np.ndarray
-    beta: np.ndarray
-
-
 def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, GuessTable]:
     """G from the definition: average the best diagonal weight per outcome."""
-    a = m.stack
+    a = m.ops
     d = np.einsum("rij,rij->rj", a.conj(), a).real  # d[r, j] = <j|A_r†A_r|j>
     guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - _TIE, axis=1)
     weights = d[np.arange(len(d)), guesses]
@@ -83,7 +65,7 @@ def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
     """
     n = m.dim
     _, table = estimation_fidelity(m)
-    vecs = m.stack.reshape(len(table.guess), n * n)
+    vecs = m.ops.reshape(len(table.guess), n * n)
     idx = np.arange(n) * n + table.guess[:, None]  # vec index (i, j_(r)) per outcome
     return float(np.sum(np.abs(np.take_along_axis(vecs, idx, axis=1)) ** 2) / n)
 
@@ -122,7 +104,7 @@ def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
     bras = kets.conj()
     # one outcome at a time keeps the temporary at (states, n)
     per_state = np.zeros(len(weights))
-    for op in m.stack:
+    for op in m.ops:
         per_state += np.abs(np.sum(bras * (kets @ op.T), axis=1)) ** 2
     return float(weights @ per_state)
 
@@ -147,43 +129,15 @@ def pound_matrix(n: int) -> np.ndarray:
     beta = beta_vector(n)
     p_beta = np.outer(beta, beta)
     pound = (p_rep + p_beta @ p_rep) / (2 * n)
-    for j in range(n):
-        for k in range(j + 1, n):
-            s = np.zeros(n * n)
-            s[j * n + k] = 1.0 / np.sqrt(2)
-            s[k * n + j] = -1.0 / np.sqrt(2)
-            pound += np.outer(s, s) / (n * n)
+    # singlet (|jk> - |kj>)/sqrt(2) for each j < k, on disjoint index pairs
+    j, k = np.triu_indices(n, 1)
+    jk, kj = j * n + k, k * n + j
+    h = 1.0 / np.sqrt(2)
+    w = h * h / (n * n)  # not 0.5 / n^2: keeps L bit-identical to sum_jk outer(s, s) / n^2
+    pound[jk, jk] = pound[kj, kj] = w
+    pound[jk, kj] = pound[kj, jk] = -w
     pound.setflags(write=False)
     return pound
-
-
-def functional_matrices(m: GeneralizedMeasurement) -> FunctionalMatrices:
-    """Materialize €, L, and the projector pieces for the attack's dimension."""
-    n = m.dim
-    k = len(m.kraus)
-    rep = np.arange(n) * n + np.arange(n)
-    p_rep = np.zeros((n * n, n * n))
-    p_rep[rep, rep] = 1.0
-    beta = beta_vector(n)
-    p_beta = np.outer(beta, beta)
-    euro = None
-    if n * n * k <= _EURO_DENSE_LIMIT:
-        _, table = estimation_fidelity(m)
-        euro = np.zeros((n * n * k, n * n * k))
-        eye_k = np.eye(k)
-        for i, j in enumerate(table.guess):
-            guess_proj = np.zeros((n, n))
-            guess_proj[j, j] = 1.0
-            euro += kron(kron(np.eye(n), guess_proj), np.outer(eye_k[i], eye_k[i]))
-        euro /= n
-    return FunctionalMatrices(
-        euro=euro,
-        pound=pound_matrix(n),
-        p_rep=p_rep,
-        p_nonrep=np.eye(n * n) - p_rep,
-        p_beta=p_beta,
-        beta=beta,
-    )
 
 
 def induced_fidelity_functional(m: GeneralizedMeasurement) -> float:
@@ -199,16 +153,16 @@ def spectral_quantities(m: GeneralizedMeasurement) -> tuple[float, float]:
     g = sum_r |a_{j_(r) j_(r) r}|^2 and f = sum_r |sum_j a_jjr|^2, so that
     G = g/n and D = 1/2 - f/(2 n^2) hold exactly in the diagonal case.
     """
-    diags = []
-    for r, op in m.kraus:
-        off = op - np.diag(np.diag(op))
-        if np.max(np.abs(off)) > 1e-10:
-            raise ValueError(
-                f"outcome {r} is not diagonal; use estimation_fidelity/induced_fidelity instead"
-            )
-        diags.append(np.diag(op))
-    g = sum(float(np.max(np.abs(d) ** 2)) for d in diags)
-    f = sum(float(np.abs(d.sum()) ** 2) for d in diags)
+    a = m.ops
+    diags = np.einsum("rjj->rj", a)
+    off = np.abs(a - diags[:, :, None] * np.eye(m.dim)).reshape(len(a), -1).max(axis=1)
+    bad = np.flatnonzero(off > 1e-10)
+    if bad.size:
+        raise ValueError(
+            f"outcome {bad[0]} is not diagonal; use estimation_fidelity/induced_fidelity instead"
+        )
+    g = float(np.sum(np.max(np.abs(diags) ** 2, axis=1)))
+    f = float(np.sum(np.abs(diags.sum(axis=1)) ** 2))
     return g, f
 
 

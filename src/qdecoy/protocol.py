@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import GeneralizedMeasurement
+from .linalg import check_dim
 from .metrics import decoy_amplitudes, estimation_fidelity, pairing_fidelity
 
 #: conditional probabilities within this of 0 or 1 are physically exact events
@@ -88,7 +89,7 @@ def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.
     Everything is O(K n^2), so the simulator never materializes ensembles or
     n^4 functional matrices.
     """
-    a = m.stack
+    a = m.ops
     k, n, _ = a.shape
     gram = a.conj().transpose(0, 2, 1) @ a
     dg = np.einsum("rjj->rj", gram).real
@@ -143,8 +144,7 @@ def run_protocol(
     sample_bob: bool = False,
 ) -> SimReport:
     """Simulate `shots` trials; deterministic for fixed arguments and seed."""
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
+    check_dim(n)
     if attack.dim != n:
         raise ValueError(f"attack dimension {attack.dim} != n = {n}")
     if shots < 1:

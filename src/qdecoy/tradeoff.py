@@ -14,7 +14,7 @@ rediscovers the optimum by constrained local search over diagonal attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -26,6 +26,7 @@ from .attacks import (
     projective_attack,
     random_attack,
 )
+from .linalg import check_dim
 from .metrics import estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
 
 #: margins below this are float noise; below _LOUD they indicate a broken attack
@@ -51,8 +52,7 @@ class TradeoffPoint:
 
 def disturbance_bound(g: float, n: int) -> float:
     """Least possible disturbance at estimation fidelity g on dimension n."""
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
+    check_dim(n)
     g = float(g)
     if not 1.0 / n <= g <= 1.0:
         raise ValueError(f"estimation fidelity {g} outside [1/{n}, 1]")
@@ -68,7 +68,7 @@ def attack_point(m: GeneralizedMeasurement, source: str | None = None) -> Tradeo
     """Evaluate an attack to a TradeoffPoint with the O(K n^2) evaluator."""
     n = m.dim
     g, _ = estimation_fidelity(m)
-    d = 1.0 - induced_fidelity_closed(m.stack)
+    d = 1.0 - induced_fidelity_closed(m.ops)
     # completeness noise can push G a few ulp outside [1/n, 1]
     g_eval = min(max(g, 1.0 / n), 1.0)
     if abs(g_eval - g) > 1e-9:
@@ -121,8 +121,7 @@ def sweep_random(
     raise BoundViolation (the bound is proven, so that is an implementation
     bug, not a counterexample).
     """
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
+    check_dim(n)
     if trials < 1:
         raise ValueError("need at least one trial")
     points = []
@@ -252,8 +251,7 @@ def optimize_attack(
     per-outcome guess is r. Each restart's result is projected onto the exact
     feasible set before comparison. Returns the best point and its attack.
     """
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
+    check_dim(n)
     g_target = float(g_target)
     if not 1.0 / n <= g_target <= 1.0:
         raise ValueError(f"estimation fidelity target {g_target} outside [1/{n}, 1]")
@@ -262,7 +260,7 @@ def optimize_attack(
     if g_target == 1.0:
         # unit row norms cap every diagonal entry at 1, so sum a_rr^2 = n has
         # exactly one solution: the full readout grid a = Id
-        m = GeneralizedMeasurement(dim=n, kraus=projective_attack(n).kraus, descriptor=source)
+        m = replace(projective_attack(n), descriptor=source)
         return attack_point(m, source=source), m
 
     best: tuple[float, np.ndarray] | None = None
@@ -287,6 +285,5 @@ def optimize_attack(
     if best is None:
         raise RuntimeError(f"no feasible candidate found at (n={n}, g={g_target})")
     a = best[1]
-    m = diagonal_attack([(r, a[:, r]) for r in range(n)])
-    m = GeneralizedMeasurement(dim=n, kraus=m.kraus, descriptor=source)
+    m = replace(diagonal_attack(a.T), descriptor=source)
     return attack_point(m, source=source), m

@@ -1,8 +1,12 @@
-"""Attack constructors, validation, and the descriptor grammar."""
+"""Attack constructors, validation, the (K, n, n) representation and the descriptor grammar."""
+
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdecoy import attacks
 from qdecoy.choi import mat_to_vec
@@ -15,7 +19,7 @@ def _coeff_norm_sq(m):
 class TestFromKraus:
     def test_single_identity(self):
         m = attacks.from_kraus([np.eye(3)])
-        assert m.dim == 3 and len(m.kraus) == 1
+        assert m.dim == 3 and len(m.ops) == 1
         assert m.completeness_residual() <= 1e-15
 
     def test_incomplete_set_rejected(self):
@@ -42,37 +46,84 @@ class TestFromKraus:
         m = attacks.from_kraus([np.outer(eye[r], eye[r]) for r in range(n)])
         npt.assert_allclose(_coeff_norm_sq(m), n, atol=1e-12)
 
-    def test_zero_operator_message_names_outcome_label(self):
+    def test_zero_operator_message_names_outcome_index(self):
         eye = np.eye(2, dtype=complex)
-        bad = attacks.GeneralizedMeasurement(
-            dim=2, kraus=((3, eye), (7, np.zeros((2, 2), dtype=complex))), descriptor="corrupt"
-        )
-        with pytest.raises(ValueError, match="outcome 7: zero operator"):
+        bad = attacks.GeneralizedMeasurement([eye, eye, np.zeros((2, 2))], descriptor="corrupt")
+        with pytest.raises(ValueError, match="outcome 2: zero operator"):
             bad.validate()
 
     def test_completeness_residual_matches_loop(self):
         m = attacks.random_attack(3, 5, seed=4)
         s = sum(op.conj().T @ op for op in m.ops)
-        npt.assert_allclose(attacks.gram_sum(m.stack), s, rtol=0, atol=1e-14)
+        npt.assert_allclose(attacks.gram_sum(m.ops), s, rtol=0, atol=1e-14)
         assert m.completeness_residual() == pytest.approx(
             float(np.max(np.abs(s - np.eye(3)))), abs=1e-14
         )
 
     def test_corrupt_instance_fails_validate(self):
-        bad = attacks.GeneralizedMeasurement(
-            dim=2, kraus=((0, 0.5 * np.eye(2, dtype=complex)),), descriptor="corrupt"
-        )
+        bad = attacks.GeneralizedMeasurement([0.5 * np.eye(2, dtype=complex)], descriptor="corrupt")
         with pytest.raises(ValueError):
             bad.validate()
 
 
+class TestRepresentation:
+    def test_fields_are_ops_and_descriptor(self):
+        names = [f.name for f in dataclasses.fields(attacks.GeneralizedMeasurement)]
+        assert names == ["ops", "descriptor"]
+        m = attacks.random_attack(3, 5, seed=0)
+        assert m.ops.shape == (5, 3, 3) and m.ops.dtype == complex and m.dim == 3
+
+    def test_ops_are_read_only(self):
+        m = attacks.random_attack(3, seed=0)
+        with pytest.raises(ValueError):
+            m.ops[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            m.ops[1] *= 2.0
+
+    def test_caller_arrays_are_copied(self):
+        ops = [np.eye(2, dtype=complex) / np.sqrt(2), np.eye(2, dtype=complex) / np.sqrt(2)]
+        m = attacks.from_kraus(ops)
+        ops[0][0, 0] = 5.0
+        npt.assert_array_equal(m.ops[0], np.eye(2) / np.sqrt(2))
+        stack = np.array([np.eye(2, dtype=complex)])
+        bare = attacks.GeneralizedMeasurement(stack, descriptor="bare")
+        stack[0, 1, 1] = 7.0
+        npt.assert_array_equal(bare.ops[0], np.eye(2))
+        assert stack.flags.writeable
+
+    def test_rejects_non_stack_shapes(self):
+        for bad in (np.eye(2), np.ones((2, 2, 3)), np.ones(4)):
+            with pytest.raises(ValueError, match="stack"):
+                attacks.GeneralizedMeasurement(bad)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6))
+    def test_named_families_are_complete_and_round_trip(self, data, n):
+        family = data.draw(st.sampled_from(["optimal", "projective", "identity", "prob", "random"]))
+        if family == "optimal":
+            m = attacks.optimal_attack(n, data.draw(st.floats(1.0 / n, 1.0)))
+        elif family == "projective":
+            m = attacks.projective_attack(n)
+        elif family == "identity":
+            m = attacks.identity_attack(n)
+        elif family == "prob":
+            m = attacks.probabilistic_attack(n, data.draw(st.floats(0.0, 1.0)))
+        else:
+            k = data.draw(st.integers(1, n * n + 3))
+            m = attacks.random_attack(n, k, seed=data.draw(st.integers(0, 2**32 - 1)))
+        assert m.completeness_residual() <= 1e-12
+        again = attacks.parse_descriptor(m.descriptor)
+        assert again.descriptor == m.descriptor
+        assert np.array_equal(again.ops, m.ops)
+
+
 class TestNamedFamilies:
     def test_projective_outcome_count(self):
-        assert len(attacks.projective_attack(3).kraus) == 3
+        assert len(attacks.projective_attack(3).ops) == 3
 
     def test_identity_is_single_identity(self):
         m = attacks.identity_attack(5)
-        assert len(m.kraus) == 1
+        assert len(m.ops) == 1
         npt.assert_array_equal(m.ops[0], np.eye(5))
 
     def test_optimal_frozen_coefficients(self):
@@ -102,15 +153,15 @@ class TestNamedFamilies:
 
     def test_probabilistic_outcome_count_and_completeness(self):
         m = attacks.probabilistic_attack(3, 0.3)
-        assert len(m.kraus) == 4
+        assert len(m.ops) == 4
         assert m.completeness_residual() <= 1e-12
 
     def test_probabilistic_degenerate_endpoints(self):
         m0 = attacks.probabilistic_attack(3, 0.0)
-        assert len(m0.kraus) == 1
+        assert len(m0.ops) == 1
         npt.assert_array_equal(m0.ops[0], np.eye(3))
         m1 = attacks.probabilistic_attack(3, 1.0)
-        assert len(m1.kraus) == 3
+        assert len(m1.ops) == 3
         for a, b in zip(m1.ops, attacks.projective_attack(3).ops):
             npt.assert_array_equal(a, b)
 
@@ -156,7 +207,7 @@ class TestRandomAttack:
             npt.assert_allclose(op, x @ s_inv_sqrt, rtol=0, atol=1e-13)
 
     def test_default_outcome_count_is_n_squared(self):
-        assert len(attacks.random_attack(3, seed=0).kraus) == 9
+        assert len(attacks.random_attack(3, seed=0).ops) == 9
 
     def test_completeness_across_seeds(self):
         for seed in range(20):
@@ -170,30 +221,28 @@ class TestRandomAttack:
 class TestDiagonalAttack:
     def test_projective_coefficients(self):
         n = 3
-        coeffs = [(r, np.eye(n)[r]) for r in range(n)]
-        m = attacks.diagonal_attack(coeffs)
+        m = attacks.diagonal_attack(np.eye(n))
         for a, b in zip(m.ops, attacks.projective_attack(n).ops):
             npt.assert_allclose(a, b, atol=1e-15)
 
     def test_single_all_ones_is_identity(self):
-        m = attacks.diagonal_attack([(0, np.ones(4))])
+        m = attacks.diagonal_attack([np.ones(4)])
         npt.assert_array_equal(m.ops[0], np.eye(4))
 
     def test_optimal_family_expansion(self):
         n, g = 4, 0.37
         lam = np.sqrt(g) - np.sqrt((1 - g) / (n - 1))
         mu = np.sqrt((1 - g) / (n - 1))
-        coeffs = [(r, lam * np.eye(n)[r] + mu * np.ones(n)) for r in range(n)]
-        m = attacks.diagonal_attack(coeffs)
+        m = attacks.diagonal_attack(lam * np.eye(n) + mu * np.ones((n, n)))
         ref = attacks.optimal_attack(n, g)
         for a, b in zip(m.ops, ref.ops):
             npt.assert_allclose(a, b, atol=1e-14)
 
     def test_norm_and_completeness_guards(self):
         with pytest.raises(ValueError):
-            attacks.diagonal_attack([(0, np.ones(3) * 0.5)])
+            attacks.diagonal_attack([np.ones(3) * 0.5])
         # right total norm, wrong per-level split
-        bad = [(0, np.array([1.2, 0.6])), (1, np.array([0.2, np.sqrt(2 - 1.44 - 0.36 - 0.04)]))]
+        bad = [np.array([1.2, 0.6]), np.array([0.2, np.sqrt(2 - 1.44 - 0.36 - 0.04)])]
         with pytest.raises(ValueError):
             attacks.diagonal_attack(bad)
         with pytest.raises(ValueError):
@@ -211,14 +260,14 @@ class TestDescriptors:
         ):
             again = attacks.parse_descriptor(m.descriptor)
             assert again.descriptor == m.descriptor
-            assert len(again.kraus) == len(m.kraus)
+            assert len(again.ops) == len(m.ops)
             for a, b in zip(again.ops, m.ops):
                 assert np.array_equal(a, b)
 
     def test_grammar_examples(self):
         assert attacks.parse_descriptor("optimal(n=4,g=0.5)").dim == 4
         assert attacks.parse_descriptor("prob(n=4, p=0.3)").dim == 4
-        assert len(attacks.parse_descriptor("random(n=2,k=16,seed=7)").kraus) == 16
+        assert len(attacks.parse_descriptor("random(n=2,k=16,seed=7)").ops) == 16
 
     def test_malformed_descriptors_rejected(self):
         bad = [

@@ -149,7 +149,7 @@ class TestApplyChannel:
             kappa = _rand_complex(rng, 3, 3)
             rho = _rand_complex(rng, 3, 3)
             lhs = np.trace(kappa @ choi.apply_channel(dollar, rho))
-            rhs = np.trace(linalg.kron(kappa, rho.T) @ dollar.matrix)
+            rhs = np.trace(np.kron(kappa, rho.T) @ dollar.matrix)
             npt.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_dimension_mismatch_raises(self):

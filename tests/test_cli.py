@@ -54,6 +54,7 @@ class TestCurve:
 
     def test_usage_errors(self, capsys):
         assert main(["curve", "--n", "1"]) == 2
+        assert "error: need dimension n >= 2, got 1" in capsys.readouterr().err
         assert main(["curve", "--n", "65"]) == 2
         assert main(["curve", "--n", "4", "--points", "1"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -85,11 +86,7 @@ class TestVerify:
         assert main(["verify", "--n", "65"]) == 2
 
     def test_broken_attack_fails(self, capsys, monkeypatch):
-        bad = GeneralizedMeasurement(
-            dim=2,
-            kraus=((0, np.sqrt(1.1) * np.eye(2, dtype=complex)),),
-            descriptor="corrupt",
-        )
+        bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
         monkeypatch.setattr(
             "qdecoy.tradeoff.random_attack", lambda n, outcomes=None, seed=0: bad
         )
@@ -109,6 +106,15 @@ class TestVerify:
         monkeypatch.setattr("qdecoy.cli.induced_fidelity_closed", lambda a: 2.0)
         assert main(["verify", "--n", "2"]) == 1
         assert "verify: FAIL (closed-form fidelity residual" in capsys.readouterr().out
+
+    def test_failure_lines_name_each_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setattr("qdecoy.cli.saturation_gap", lambda n, g: 1.0)
+        monkeypatch.setattr("qdecoy.cli.estimation_fidelity_functional", lambda m: 2.0)
+        monkeypatch.setattr("qdecoy.cli.induced_fidelity_functional", lambda m: 2.0)
+        monkeypatch.setattr("qdecoy.cli.induced_fidelity_closed", lambda a: 2.0)
+        assert main(["verify", "--n", "2"]) == 1
+        fails = [x for x in capsys.readouterr().out.splitlines() if x.startswith("verify: FAIL")]
+        assert [x.rsplit(" ", 1)[1] for x in fails] == ["1e-9)", "1e-12)", "1e-10)", "1e-10)"]
 
     def test_cross_check_attacks_are_the_sweeps_first_ten(self, monkeypatch):
         for trials in (3, 12):

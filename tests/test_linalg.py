@@ -25,12 +25,15 @@ def _kron_naive(a, b):
 
 
 class TestKron:
+    """np.kron's block layout is the composite-index convention (i, j) -> i*dim2 + j
+    that partial_trace and the state-operator tools assume."""
+
     def test_identity_case(self):
-        npt.assert_array_equal(linalg.kron(np.eye(2), np.eye(3)), np.eye(6))
+        npt.assert_array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_diagonal_case(self):
         npt.assert_array_equal(
-            linalg.kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0])
+            np.kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0])
         )
 
     def test_block_placement_against_naive_loop(self):
@@ -38,7 +41,7 @@ class TestKron:
         proj = np.zeros((2, 2))
         proj[0, 0] = 1.0
         rho = _rand_complex(rng, 2, 2)
-        got = linalg.kron(proj, rho)
+        got = np.kron(proj, rho)
         npt.assert_allclose(got, _kron_naive(proj, rho), atol=1e-15)
         npt.assert_allclose(got[:2, :2], rho, atol=1e-15)
         assert np.all(got[2:, :] == 0) and np.all(got[:, 2:] == 0)
@@ -48,7 +51,7 @@ class TestKron:
         for _ in range(5):
             a = _rand_complex(rng, 2, 3)
             b = _rand_complex(rng, 3, 2)
-            npt.assert_allclose(linalg.kron(a, b), _kron_naive(a, b), atol=1e-13)
+            npt.assert_allclose(np.kron(a, b), _kron_naive(a, b), atol=1e-13)
 
     def test_associativity(self):
         rng = np.random.default_rng(5)
@@ -56,8 +59,17 @@ class TestKron:
         b = _rand_complex(rng, 3, 3)
         c = _rand_complex(rng, 2, 2)
         npt.assert_allclose(
-            linalg.kron(linalg.kron(a, b), c), linalg.kron(a, linalg.kron(b, c)), atol=1e-12
+            np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-12
         )
+
+
+class TestCheckDim:
+    def test_accepts_two_and_up_and_names_the_bad_value(self):
+        for n in (2, 3, 64):
+            linalg.check_dim(n)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"need dimension n >= 2, got {n}"):
+                linalg.check_dim(n)
 
 
 class TestPartialTrace:
@@ -66,10 +78,10 @@ class TestPartialTrace:
         a = _rand_complex(rng, 3, 3)
         b = _rand_complex(rng, 2, 2)
         npt.assert_allclose(
-            linalg.partial_trace(linalg.kron(a, b), 3, 2, "second"), a * np.trace(b), atol=1e-13
+            linalg.partial_trace(np.kron(a, b), 3, 2, "second"), a * np.trace(b), atol=1e-13
         )
         npt.assert_allclose(
-            linalg.partial_trace(linalg.kron(a, b), 3, 2, "first"), b * np.trace(a), atol=1e-13
+            linalg.partial_trace(np.kron(a, b), 3, 2, "first"), b * np.trace(a), atol=1e-13
         )
 
     def test_identity_reduces_to_scaled_identity(self):

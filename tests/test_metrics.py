@@ -20,10 +20,10 @@ from qdecoy.ensembles import canonical_ensemble, decoy_ket, pairing_ensemble
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     banaszek_bound,
+    beta_vector,
     decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
-    functional_matrices,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
@@ -36,7 +36,7 @@ def _rand_diagonal_attack(n, k, rng):
     # row j = level, column r = outcome; rows normalized for completeness
     a = np.abs(rng.normal(size=(n, k))) + 0.05
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    return diagonal_attack([(r, a[:, r]) for r in range(k)])
+    return diagonal_attack(a.T)
 
 
 def _named_attacks(n):
@@ -46,6 +46,39 @@ def _named_attacks(n):
         *(optimal_attack(n, g) for g in (1.0 / n, 0.5, 0.9, 1.0)),
         *(probabilistic_attack(n, p) for p in (0.0, 0.3, 1.0)),
     ]
+
+
+def _dense_euro(m):
+    """The dense € on the outcome-extended composite (n^2 K rows).
+
+    € = (1/n) sum_r Id_n ⊗ |j_(r)><j_(r)| ⊗ |r><r|, with the guesses j_(r)
+    from the per-outcome loop, so G = Tr(€ |w><w|) for w = sum_r vec(A_r) ⊗ |r>.
+    """
+    n, k = m.dim, len(m.ops)
+    guesses, _ = _guesses_by_loop(m)
+    euro = np.zeros((n * n * k, n * n * k))
+    eye_k = np.eye(k)
+    for r, j in enumerate(guesses):
+        guess_proj = np.zeros((n, n))
+        guess_proj[j, j] = 1.0
+        euro += np.kron(np.kron(np.eye(n), guess_proj), np.outer(eye_k[r], eye_k[r]))
+    return euro / n
+
+
+def _pound_by_loop(n):
+    """L built one singlet projector at a time, as an n^2 x n^2 sum of outer products."""
+    rep = np.arange(n) * n + np.arange(n)
+    p_rep = np.zeros((n * n, n * n))
+    p_rep[rep, rep] = 1.0
+    beta = beta_vector(n)
+    pound = (p_rep + np.outer(beta, beta) @ p_rep) / (2 * n)
+    for j in range(n):
+        for k in range(j + 1, n):
+            s = np.zeros(n * n)
+            s[j * n + k] = 1.0 / np.sqrt(2)
+            s[k * n + j] = -1.0 / np.sqrt(2)
+            pound += np.outer(s, s) / (n * n)
+    return pound
 
 
 def _guesses_by_loop(m):
@@ -89,12 +122,7 @@ class TestEstimationFidelity:
         assert table.guess[0] == 0
         # near tie within 1e-12: index 1 is larger but index 0 still wins
         eps = 5e-13
-        m = diagonal_attack(
-            [
-                (0, [np.sqrt(0.3), np.sqrt(0.3 + eps)]),
-                (1, [np.sqrt(0.7), np.sqrt(0.7 - eps)]),
-            ]
-        )
+        m = diagonal_attack([[np.sqrt(0.3), np.sqrt(0.3 + eps)], [np.sqrt(0.7), np.sqrt(0.7 - eps)]])
         _, table = estimation_fidelity(m)
         assert table.guess[0] == 0
         assert_allclose(table.weight[0], 0.3, rtol=0, atol=1e-15)
@@ -115,7 +143,7 @@ class TestEstimationFidelity:
             m = random_attack(3, seed=seed)
             g, table = estimation_fidelity(m)
             assert 1.0 / 3 - 1e-12 <= g <= 1.0 + 1e-12
-            assert table.guess.shape == (len(m.kraus),)
+            assert table.guess.shape == (len(m.ops),)
             assert np.all(table.weight >= 0)
 
 
@@ -153,7 +181,7 @@ class TestClosedForm:
     def test_amplitudes_are_decoy_overlaps(self):
         for n in (2, 3, 4):
             m = random_attack(n, outcomes=5, seed=n)
-            amp = decoy_amplitudes(m.stack)
+            amp = decoy_amplitudes(m.ops)
             assert amp.shape == (n * n, 5)
             for j in range(n):
                 for k in range(n):
@@ -168,7 +196,7 @@ class TestClosedForm:
             for seed in range(3):
                 m = random_attack(n, outcomes=k, seed=seed)
                 f_def = induced_fidelity(m, pairing)
-                assert_allclose(induced_fidelity_closed(m.stack), f_def, rtol=0, atol=1e-10)
+                assert_allclose(induced_fidelity_closed(m.ops), f_def, rtol=0, atol=1e-10)
                 assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -176,7 +204,7 @@ class TestClosedForm:
         pairing = pairing_ensemble(n)
         for m in _named_attacks(n):
             f_def = induced_fidelity(m, pairing)
-            assert_allclose(induced_fidelity_closed(m.stack), f_def, rtol=0, atol=1e-10)
+            assert_allclose(induced_fidelity_closed(m.ops), f_def, rtol=0, atol=1e-10)
             assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -201,7 +229,7 @@ class TestClosedForm:
         assume(all(np.linalg.norm(op) > 1e-6 for op in ops))
         m = from_kraus(ops)
         f_def = induced_fidelity(m, pairing_ensemble(n))
-        assert_allclose(induced_fidelity_closed(m.stack), f_def, rtol=0, atol=1e-10)
+        assert_allclose(induced_fidelity_closed(m.ops), f_def, rtol=0, atol=1e-10)
         assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
         g_def, _ = estimation_fidelity(m)
         assert_allclose(estimation_fidelity_functional(m), g_def, rtol=0, atol=1e-12)
@@ -249,12 +277,23 @@ class TestInducedFidelity:
 class TestFunctionalMatrices:
     def test_projector_identities(self):
         for n in (2, 3, 4):
-            fm = functional_matrices(identity_attack(n))
-            assert_array_equal(fm.p_rep + fm.p_nonrep, np.eye(n * n))
-            assert_allclose(fm.p_rep @ fm.p_rep, fm.p_rep, rtol=0, atol=1e-15)
-            assert_allclose(fm.p_beta @ fm.p_beta, fm.p_beta, rtol=0, atol=1e-15)
-            assert_allclose(fm.p_beta @ fm.p_rep, fm.p_beta, rtol=0, atol=1e-15)
-            assert_allclose(np.linalg.norm(fm.beta), 1.0, rtol=0, atol=1e-15)
+            beta = beta_vector(n)
+            rep = np.arange(n) * n + np.arange(n)
+            p_rep = np.zeros((n * n, n * n))
+            p_rep[rep, rep] = 1.0
+            p_nonrep = np.eye(n * n) - p_rep
+            p_beta = np.outer(beta, beta)
+            assert_allclose(p_rep @ p_rep, p_rep, rtol=0, atol=1e-15)
+            assert_allclose(p_beta @ p_beta, p_beta, rtol=0, atol=1e-15)
+            assert_allclose(p_beta @ p_rep, p_beta, rtol=0, atol=1e-15)
+            assert_allclose(np.linalg.norm(beta), 1.0, rtol=0, atol=1e-15)
+            # L splits over the repeated and nonrepeated subspaces
+            pound = pound_matrix(n)
+            assert_allclose(p_rep @ pound @ p_rep, (p_rep + p_beta @ p_rep) / (2 * n), rtol=0, atol=1e-15)
+            assert_array_equal(p_rep @ pound @ p_nonrep, 0.0)
+            singlets = n * n * (p_nonrep @ pound @ p_nonrep)
+            assert_allclose(singlets @ singlets, singlets, rtol=0, atol=1e-15)
+            assert_allclose(np.trace(singlets), n * (n - 1) / 2, rtol=0, atol=1e-12)
 
     def test_pound_explicit_matrix(self):
         ref = np.array(
@@ -267,6 +306,10 @@ class TestFunctionalMatrices:
         ) / 8.0
         assert_allclose(pound_matrix(2), ref, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pound_matches_singlet_loop(self, n):
+        assert_array_equal(pound_matrix(n), _pound_by_loop(n))
+
     def test_pound_spectrum(self):
         for n in (2, 3, 4, 6):
             pound = pound_matrix(n)
@@ -275,7 +318,7 @@ class TestFunctionalMatrices:
             assert psd_check(pound)
             w, _ = herm_eig(pound)
             assert_allclose(w[-1], 1.0 / n, rtol=0, atol=1e-12)
-            beta = functional_matrices(identity_attack(n)).beta
+            beta = beta_vector(n)
             assert_allclose(pound @ beta, beta / n, rtol=0, atol=1e-12)
 
     def test_pound_cached_and_readonly(self):
@@ -286,23 +329,24 @@ class TestFunctionalMatrices:
 
     def test_euro_trace_recovers_estimation(self):
         # pair the dense block matrix with the outcome-extended state operator
-        for seed in range(5):
-            m = random_attack(2, outcomes=3, seed=seed)
-            fm = functional_matrices(m)
-            k = len(m.kraus)
+        attacks = [random_attack(2, outcomes=3, seed=seed) for seed in range(5)]
+        attacks += _named_attacks(2) + _named_attacks(3)
+        for m in attacks:
+            k = len(m.ops)
             eye = np.eye(k)
             w = np.zeros(m.dim * m.dim * k, dtype=complex)
             for i, op in enumerate(m.ops):
                 w += np.kron(mat_to_vec(op), eye[i])
-            g_dense = float(np.einsum("ij,ji->", fm.euro, np.outer(w, w.conj())).real)
+            g_dense = float(np.einsum("ij,ji->", _dense_euro(m), np.outer(w, w.conj())).real)
             g_def, _ = estimation_fidelity(m)
             assert_allclose(g_dense, g_def, rtol=0, atol=1e-12)
+            assert_allclose(g_dense, estimation_fidelity_functional(m), rtol=0, atol=1e-12)
 
     def test_euro_skipped_when_large(self):
+        # a dense € would have n^2 K = 4160 rows; the functional route reads it blockwise
         m = random_attack(8, outcomes=65, seed=1)
-        fm = functional_matrices(m)
-        assert fm.euro is None
-        assert fm.pound.shape == (64, 64)
+        g_def, _ = estimation_fidelity(m)
+        assert_allclose(estimation_fidelity_functional(m), g_def, rtol=0, atol=1e-12)
 
 
 class TestSpectralQuantities:

@@ -145,7 +145,7 @@ class TestRunProtocol:
                 d_def = 1.0 - induced_fidelity(m, pairing_ensemble(n))
                 assert_allclose(rep.g_analytic, g_def, rtol=0, atol=1e-12)
                 assert_allclose(rep.d_analytic, d_def, rtol=0, atol=1e-12)
-                d_closed = 1.0 - induced_fidelity_closed(m.stack)
+                d_closed = 1.0 - induced_fidelity_closed(m.ops)
                 assert_allclose(rep.d_analytic, d_closed, rtol=0, atol=1e-15)
 
     def test_seeded_report_pinned(self):
@@ -182,9 +182,7 @@ class TestRunProtocol:
         assert peak < 32 * 2**20
 
     def test_incomplete_attack_rejected(self):
-        bad = GeneralizedMeasurement(
-            dim=2, kraus=((0, 0.9 * np.eye(2, dtype=complex)),), descriptor="corrupt"
-        )
+        bad = GeneralizedMeasurement([0.9 * np.eye(2, dtype=complex)], descriptor="corrupt")
         with pytest.raises(ValueError, match="not complete"):
             run_protocol(2, bad, shots=10, seed=0)
 
@@ -271,8 +269,6 @@ class TestTrialTrace:
             trial_trace(3, m, ("message", 0))
 
     def test_incomplete_attack_rejected(self):
-        bad = GeneralizedMeasurement(
-            dim=2, kraus=((0, 0.9 * np.eye(2, dtype=complex)),), descriptor="corrupt"
-        )
+        bad = GeneralizedMeasurement([0.9 * np.eye(2, dtype=complex)], descriptor="corrupt")
         with pytest.raises(ValueError, match="not complete"):
             trial_trace(2, bad, ("decoy", 0, 1))

@@ -82,9 +82,7 @@ class TestAttackPoint:
         assert p.source == "custom"
 
     def test_incomplete_attack_rejected(self):
-        m = GeneralizedMeasurement(
-            dim=2, kraus=((0, 0.5 * np.eye(2, dtype=complex)),), descriptor="corrupt"
-        )
+        m = GeneralizedMeasurement([0.5 * np.eye(2, dtype=complex)], descriptor="corrupt")
         with pytest.raises(ValueError):
             attack_point(m)
 
@@ -139,11 +137,7 @@ class TestSweepRandom:
             assert p == attack_point(random_attack(2, seed=trial_seed(7, t)))
 
     def test_broken_attack_raises(self):
-        bad = GeneralizedMeasurement(
-            dim=2,
-            kraus=((0, np.sqrt(1.1) * np.eye(2, dtype=complex)),),
-            descriptor="corrupt",
-        )
+        bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
         with pytest.raises(BoundViolation, match="corrupt"):
             sweep_random(2, trials=2, seed=0, extra=(bad,))
 
@@ -173,17 +167,13 @@ class TestOptimizeAttack:
         point, m = optimize_attack(4, 1.0, seed=0)
         assert point.d == 0.375
         assert point.margin == 0.0
-        for (label, op), (ref_label, ref_op) in zip(m.kraus, projective_attack(4).kraus):
-            assert label == ref_label
-            assert_array_equal(op, ref_op)
+        assert_array_equal(m.ops, projective_attack(4).ops)
 
     def test_deterministic(self):
         p1, m1 = optimize_attack(2, 0.8, restarts=2, seed=7)
         p2, m2 = optimize_attack(2, 0.8, restarts=2, seed=7)
         assert p1 == p2
-        for (l1, o1), (l2, o2) in zip(m1.kraus, m2.kraus):
-            assert l1 == l2
-            assert_array_equal(o1, o2)
+        assert_array_equal(m1.ops, m2.ops)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
