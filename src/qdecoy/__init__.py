@@ -23,14 +23,11 @@ from .choi import (
     is_tp,
     mat_to_vec,
     sandwich_identity_residual,
-    vec_to_mat,
 )
 from .ensembles import (
     Ensemble,
-    canonical_ensemble,
     decoy_ket,
     pairing_ensemble,
-    tamper_projectors,
 )
 from .attacks import (
     GeneralizedMeasurement,
@@ -78,17 +75,14 @@ __all__ = [
     "is_hermitian",
     "ChoiState",
     "mat_to_vec",
-    "vec_to_mat",
     "choi_of_kraus",
     "apply_channel",
     "sandwich_identity_residual",
     "is_cp",
     "is_tp",
     "Ensemble",
-    "canonical_ensemble",
     "decoy_ket",
     "pairing_ensemble",
-    "tamper_projectors",
     "GeneralizedMeasurement",
     "from_kraus",
     "optimal_attack",

@@ -18,11 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_dim, inv_sqrt_psd
+from .linalg import DEFAULT_TOL, ZERO_NORM, check_dim, inv_sqrt_psd
 
 log = logging.getLogger(__name__)
-
-_ZERO_NORM = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +55,12 @@ class GeneralizedMeasurement:
         """Raise unless this is a well-formed complete measurement."""
         if not len(self.ops):
             raise ValueError("measurement has no outcomes")
-        zero = np.flatnonzero(_norms(self.ops) < _ZERO_NORM)
+        zero = np.flatnonzero(_norms(self.ops) < ZERO_NORM)
         if zero.size:
             raise ValueError(f"outcome {zero[0]}: zero operator")
+        self._check_complete(tol)
+
+    def _check_complete(self, tol: float = DEFAULT_TOL) -> None:
         res = self.completeness_residual()
         if res > tol:
             raise ValueError(f"completeness violated: residual {res:.3e} > {tol:.1e}")
@@ -86,16 +87,21 @@ def from_kraus(ops, tol: float = DEFAULT_TOL, descriptor: str = "") -> Generaliz
 
 
 def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
-    """Family constructor back end: drop zero operators, validate."""
+    """Family constructor back end: drop zero operators, check completeness.
+
+    The norms are taken once here, so what is kept is nonempty and nonzero and
+    only completeness is left to check.
+    """
     a = np.asarray(ops, dtype=complex)
-    keep = _norms(a) >= _ZERO_NORM
-    kept = a[keep]
+    keep = _norms(a) >= ZERO_NORM
     dropped = int(keep.size - keep.sum())
     if dropped:
         log.info("%s: dropped %d zero-probability outcome(s)", descriptor, dropped)
-    if not len(kept):
+    if not keep.any():
         raise ValueError(f"{descriptor}: no nonzero outcomes")
-    return from_kraus(kept, descriptor=descriptor)
+    m = GeneralizedMeasurement(a[keep], descriptor)
+    m._check_complete()
+    return m
 
 
 def _basis_projectors(n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, is_hermitian, partial_trace, psd_check
+from .linalg import DEFAULT_TOL, ZERO_NORM, is_hermitian, partial_trace, psd_check
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ def mat_to_vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def vec_to_mat(v: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Inverse of mat_to_vec: reshape a length-mn vector to an m x n matrix."""
-    v = np.asarray(v)
-    if v.shape != (m * n,):
-        raise ValueError(f"vector length {v.shape} does not match {m}x{n}")
-    return v.reshape(m, n)
-
-
 def choi_of_kraus(kraus) -> ChoiState:
     """Build $ = sum_r vec(A_r) vec(A_r)† from a nonempty uniform Kraus set.
 
@@ -59,7 +51,7 @@ def choi_of_kraus(kraus) -> ChoiState:
     if ragged is not None:
         raise ValueError(f"ragged Kraus set: {ragged} vs ({m},{n})")
     v = np.array(ops).reshape(len(ops), m * n)
-    if np.any(np.linalg.norm(v, axis=1) < 1e-12):
+    if np.any(np.linalg.norm(v, axis=1) < ZERO_NORM):
         raise ValueError("zero Kraus operator")
     return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ v.conj())
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+#: Frobenius norms below this mark a zero operator
+ZERO_NORM = 1e-12
 
 
 def check_dim(n: int) -> None:

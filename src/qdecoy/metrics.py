@@ -38,6 +38,8 @@ from .ensembles import Ensemble
 
 #: diagonal weights within this of an outcome's largest tie; the lowest index wins
 _TIE = 1e-12
+#: off-diagonal entries above this make an outcome non-diagonal for spectral_quantities
+_DIAGONAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def spectral_quantities(m: GeneralizedMeasurement) -> tuple[float, float]:
     a = m.ops
     diags = np.einsum("rjj->rj", a)
     off = np.abs(a - diags[:, :, None] * np.eye(m.dim)).reshape(len(a), -1).max(axis=1)
-    bad = np.flatnonzero(off > 1e-10)
+    bad = np.flatnonzero(off > _DIAGONAL_TOL)
     if bad.size:
         raise ValueError(
             f"outcome {bad[0]} is not diagonal; use estimation_fidelity/induced_fidelity instead"

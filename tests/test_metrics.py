@@ -16,7 +16,7 @@ from qdecoy.attacks import (
     random_attack,
 )
 from qdecoy.choi import apply_channel, choi_of_kraus, mat_to_vec
-from qdecoy.ensembles import canonical_ensemble, decoy_ket, pairing_ensemble
+from qdecoy.ensembles import Ensemble, decoy_ket, pairing_ensemble
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     banaszek_bound,
@@ -30,6 +30,12 @@ from qdecoy.metrics import (
     pound_matrix,
     spectral_quantities,
 )
+
+
+def _canonical_ensemble(n):
+    """The n basis states, weight 1/n each: the message words."""
+    eye = np.eye(n, dtype=complex)
+    return Ensemble(dim=n, items=tuple((1.0 / n, eye[j]) for j in range(n)))
 
 
 def _rand_diagonal_attack(n, k, rng):
@@ -246,7 +252,7 @@ class TestInducedFidelity:
         for n in (2, 3, 5):
             m = projective_attack(n)
             assert_allclose(
-                induced_fidelity(m, canonical_ensemble(n)), 1.0, rtol=0, atol=1e-12
+                induced_fidelity(m, _canonical_ensemble(n)), 1.0, rtol=0, atol=1e-12
             )
             f = induced_fidelity(m, pairing_ensemble(n))
             assert_allclose(f, 0.5 + 0.5 / n, rtol=0, atol=1e-12)

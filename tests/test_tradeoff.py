@@ -1,5 +1,7 @@
 """Tests for the disturbance bound, attack certification, and the optimizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,8 +13,10 @@ from qdecoy.attacks import (
     projective_attack,
     random_attack,
 )
+from qdecoy import tradeoff
 from qdecoy.tradeoff import (
     BoundViolation,
+    _constraints,
     attack_point,
     disturbance_bound,
     optimize_attack,
@@ -108,9 +112,14 @@ class TestSweepRandom:
         assert min_margin >= -1e-9
         assert min_margin == min(p.margin for p in points)
 
-    def test_injected_attack_is_evaluated(self):
-        extra = probabilistic_attack(2, 0.5)
-        points, min_margin = sweep_random(2, trials=10, seed=0, extra=(extra,))
+    def test_injected_attack_is_evaluated(self, monkeypatch):
+        injected = probabilistic_attack(2, 0.5)
+        last_seed = trial_seed(0, 9)
+        monkeypatch.setattr(
+            "qdecoy.tradeoff.random_attack",
+            lambda n, seed=0: injected if seed == last_seed else random_attack(n, seed=seed),
+        )
+        points, min_margin = sweep_random(2, trials=10, seed=0)
         last = points[-1]
         assert last.source == "prob(n=2,p=0.5)"
         assert_allclose(last.g, 0.75, rtol=0, atol=1e-12)
@@ -136,10 +145,30 @@ class TestSweepRandom:
         for t, p in enumerate(points):
             assert p == attack_point(random_attack(2, seed=trial_seed(7, t)))
 
-    def test_broken_attack_raises(self):
+    def test_broken_attack_raises(self, monkeypatch):
         bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
+        monkeypatch.setattr("qdecoy.tradeoff.random_attack", lambda n, seed=0: bad)
         with pytest.raises(BoundViolation, match="corrupt"):
-            sweep_random(2, trials=2, seed=0, extra=(bad,))
+            sweep_random(2, trials=2, seed=0)
+
+    @staticmethod
+    def _margin_pinned_at(monkeypatch, margin):
+        def shifted(m, source=None):
+            p = attack_point(m, source)
+            return replace(p, d=p.d - p.margin + margin, margin=margin)
+
+        monkeypatch.setattr("qdecoy.tradeoff.attack_point", shifted)
+
+    def test_margin_below_noise_raises(self, monkeypatch):
+        # between the noise floor -1e-9 and -1e-6: verify's threshold applies here too
+        self._margin_pinned_at(monkeypatch, -1e-7)
+        with pytest.raises(BoundViolation, match="1.000e-07 below"):
+            sweep_random(2, trials=3, seed=0)
+
+    def test_margin_within_noise_passes(self, monkeypatch):
+        self._margin_pinned_at(monkeypatch, -1e-10)
+        _, min_margin = sweep_random(2, trials=3, seed=0)
+        assert min_margin == -1e-10
 
     def test_argument_guards(self):
         with pytest.raises(ValueError):
@@ -148,7 +177,61 @@ class TestSweepRandom:
             sweep_random(2, trials=0)
 
 
+class TestSearchConstraints:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equality_jacobian_matches_central_differences(self, n):
+        eq, _ = _constraints(n, 0.5 * (1.0 / n + 1.0))
+        rng = np.random.default_rng(n)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.uniform(0.0, 1.0, n * n)
+            steps = h * np.eye(n * n)
+            central = np.array([(eq["fun"](x + s) - eq["fun"](x - s)) / (2 * h) for s in steps]).T
+            assert eq["jac"](x).shape == (n + 1, n * n)
+            assert np.max(np.abs(eq["jac"](x) - central)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_constraint_values_match_their_definitions(self, n):
+        g = 0.5 * (1.0 / n + 1.0)
+        eq, guess = _constraints(n, g)
+        assert (eq["type"], guess["type"]) == ("eq", "ineq")
+        a = np.random.default_rng(10 + n).uniform(0.0, 1.0, (n, n))
+        x = a.ravel()
+        want_eq = [float((a[j] ** 2).sum()) - 1.0 for j in range(n)]
+        want_eq.append(float(sum(a[r, r] ** 2 for r in range(n))) - n * g)
+        assert_allclose(eq["fun"](x), want_eq, rtol=0, atol=1e-14)
+        want_guess = [a[r, r] - a[j, r] for r in range(n) for j in range(n) if j != r]
+        assert_allclose(guess["fun"](x), want_guess, rtol=0, atol=1e-15)
+        jac = guess["jac"](x)
+        assert jac.shape == (n * (n - 1), n * n)
+        assert_array_equal(jac @ x, guess["fun"](x))
+        assert_array_equal(guess["jac"](np.zeros(n * n)), jac)
+
+    def test_slsqp_gets_two_constraints_with_jacobians(self, monkeypatch):
+        seen = []
+        minimize = tradeoff._sciopt.minimize
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["constraints"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(tradeoff._sciopt, "minimize", spy)
+        optimize_attack(4, 0.625, restarts=2, seed=0)
+        assert len(seen) == 2
+        for cons in seen:
+            assert [c["type"] for c in cons] == ["eq", "ineq"]
+            assert all(callable(c["jac"]) for c in cons)
+
+
 class TestOptimizeAttack:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_reaches_bound_at_mid_g(self, n):
+        g = 0.5 * (1.0 / n + 1.0)
+        point, m = optimize_attack(n, g, restarts=4, seed=0)
+        assert abs(point.d - disturbance_bound(g, n)) <= 1e-9
+        assert_allclose(point.g, g, rtol=0, atol=1e-9)
+        m.validate()
+
     def test_rediscovers_bound_midrange(self):
         point, m = optimize_attack(2, 0.75, restarts=4, seed=0)
         bound = disturbance_bound(0.75, 2)
