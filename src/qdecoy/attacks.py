@@ -168,7 +168,8 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
             s_inv_sqrt = inv_sqrt_psd(gram_sum(b))
         except ValueError:
             continue
-        return _from_family(b @ s_inv_sqrt, f"random(n={n},k={k},seed={seed})")
+        b = b @ s_inv_sqrt  # rebound, so the raw draw is freed before the attack copies it
+        return _from_family(b, f"random(n={n},k={k},seed={seed})")
     raise ValueError(f"random draw not normalizable after 8 attempts (n={n}, k={k}, seed={seed})")
 
 

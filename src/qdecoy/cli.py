@@ -25,7 +25,7 @@ from .attacks import (
     parse_descriptor,
     probabilistic_attack,
     projective_attack,
-    random_attack,
+    random_attack,  # not called here; qdbench/tracing.py wraps qdecoy.cli.random_attack
 )
 from .metrics import (
     estimation_fidelity,
@@ -45,7 +45,6 @@ from .tradeoff import (
     optimize_attack,
     saturation_gap,
     sweep_random,
-    trial_seed,
 )
 
 #: exact functional evaluation materializes n^4 matrix entries; simulate is exempt
@@ -57,6 +56,12 @@ _SATURATION_TOL = 1e-9
 _G_ROUTE_TOL = 1e-12
 #: verify's largest accepted gap between two routes to F
 _F_ROUTE_TOL = 1e-10
+#: curve's largest grid; 1e6 points took 13 s and 1 GB as JSON
+_POINTS_CAP = 100_000
+#: optimize's largest n, which bounds the cost of one restart, not of the run:
+#: one SLSQP restart at g = 0.5 took 7.0 s at n = 24 and 47 s at n = 32, and a
+#: run costs --restarts of them (the default 16 at n = 32: about 12 minutes)
+_OPTIMIZE_N_CAP = 24
 
 
 def _usage(msg: str) -> int:
@@ -108,6 +113,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         return _usage(problem)
     if args.points < 2:
         return _usage(f"need at least 2 grid points, got {args.points}")
+    if args.points > _POINTS_CAP:
+        return _usage(f"{args.points} grid points exceed the cap {_POINTS_CAP}")
     grid = np.linspace(1.0 / args.n, 1.0, args.points)
     rows = [(float(g), disturbance_bound(float(g), args.n)) for g in grid]
     if args.format == "csv":
@@ -156,9 +163,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         res_attacks = list(named)
         min_sweep = None
         if args.trials > 0:
-            _, min_sweep = sweep_random(args.n, args.trials, seed=args.seed)
-            for t in range(min(args.trials, 10)):
-                res_attacks.append(random_attack(args.n, None, seed=trial_seed(args.seed, t)))
+            # the sweep's first ten attacks are also checked on every route
+            _, min_sweep, swept = sweep_random(args.n, args.trials, seed=args.seed)
+            res_attacks += swept
 
         pairing = pairing_ensemble(args.n)
         res_g = 0.0
@@ -230,6 +237,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     problem = _check_n(args.n)
     if problem:
         return _usage(problem)
+    if args.n > _OPTIMIZE_N_CAP:
+        return _usage(f"n = {args.n} exceeds the search cap {_OPTIMIZE_N_CAP}")
     if not 1.0 / args.n <= args.g <= 1.0:
         return _usage(f"--g {args.g} outside [1/{args.n}, 1]")
     if args.restarts < 1 or args.iters < 1:
@@ -251,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="emit the bound curve D_min(G) on a uniform grid")
     curve.add_argument("--n", type=int, required=True, help="channel dimension (2..64)")
-    curve.add_argument("--points", type=int, default=101, help="grid size (default 101)")
+    curve.add_argument("--points", type=int, default=101, help="grid size (2..100000, default 101)")
     curve.add_argument("--format", choices=("csv", "json"), default="csv")
     curve.add_argument("--out", default=None, help="output path (atomic write); default stdout")
     curve.set_defaults(func=cmd_curve)
@@ -273,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     optimize = sub.add_parser("optimize", help="search for the least-disturbance attack at fixed G")
-    optimize.add_argument("--n", type=int, required=True, help="channel dimension (2..64)")
+    optimize.add_argument("--n", type=int, required=True, help="channel dimension (2..24)")
     optimize.add_argument("--g", type=float, required=True, help="estimation fidelity target in [1/n, 1]")
     optimize.add_argument("--restarts", type=int, default=16)
     optimize.add_argument("--iters", type=int, default=2000)

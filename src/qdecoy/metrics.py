@@ -16,7 +16,9 @@ all use it.
 The other routes compute the same numbers another way and serve only as
 oracles for `verify` and the tests:
 
-- the definition sum induced_fidelity, over the states of an Ensemble;
+- the definition sum induced_fidelity, over the states of any Ensemble: each
+  amplitude <phi|A_r|phi> is vec(A_r) . (conj(phi) ⊗ phi), so a block of
+  states costs one (K, n^2) @ (n^2, B) product, with B bounded by a byte cap;
 - the linear functionals of the attack's state operator $: G is a trace
   against the block-diagonal operator € built from the guess table
   (estimation_fidelity_functional), F = Tr(L $) for a fixed n^2 x n^2
@@ -40,6 +42,11 @@ from .ensembles import Ensemble
 _TIE = 1e-12
 #: off-diagonal entries above this make an outcome non-diagonal for spectral_quantities
 _DIAGONAL_TOL = 1e-10
+#: bytes of temporaries per block of ensemble states in induced_fidelity. A
+#: block of a few dozen states (2 MiB at n = 64) is too few columns for the
+#: product to keep up with one outcome at a time when K = n; 16 MiB holds
+#: over 100 states up to n = 64 and K = n^2
+_ORACLE_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -98,17 +105,28 @@ def induced_fidelity_closed(a: np.ndarray) -> float:
 
 
 def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
-    """F from the definition: sum_i p_i sum_r |<phi_i|A_r|phi_i>|^2."""
+    """F from the definition: sum_i p_i sum_r |<phi_i|A_r|phi_i>|^2.
+
+    <phi|A|phi> = vec(A) . (conj(phi) ⊗ phi), so each block of ensemble
+    states is one (K, n^2) @ (n^2, B) product, with its temporaries bounded
+    by _ORACLE_BLOCK_BYTES.
+    """
     if e.dim != m.dim:
         raise ValueError(f"ensemble dimension {e.dim} != measurement dimension {m.dim}")
+    n, k = m.dim, len(m.ops)
     weights = np.array([w for w, _ in e.items])
     kets = np.array([ket for _, ket in e.items])
-    bras = kets.conj()
-    # one outcome at a time keeps the temporary at (states, n)
-    per_state = np.zeros(len(weights))
-    for op in m.ops:
-        per_state += np.abs(np.sum(bras * (kets @ op.T), axis=1)) ** 2
-    return float(weights @ per_state)
+    vecs = m.ops.reshape(k, n * n)
+    # bytes per state, at most: its complex n^2 column, plus K complex
+    # amplitudes and their K moduli, or K moduli and their K squares
+    block = max(1, _ORACLE_BLOCK_BYTES // (16 * n * n + 24 * k))
+    total = 0.0
+    for start in range(0, len(kets), block):
+        ket = kets[start:start + block]
+        cols = (ket.conj()[:, :, None] * ket[:, None, :]).reshape(len(ket), n * n)
+        per_state = np.sum(np.abs(vecs @ cols.T) ** 2, axis=0)
+        total += float(weights[start:start + block] @ per_state)
+    return total
 
 
 def beta_vector(n: int) -> np.ndarray:
@@ -129,8 +147,8 @@ def pound_matrix(n: int) -> np.ndarray:
     p_rep = np.zeros((n * n, n * n))
     p_rep[rep, rep] = 1.0
     beta = beta_vector(n)
-    p_beta = np.outer(beta, beta)
-    pound = (p_rep + p_beta @ p_rep) / (2 * n)
+    # beta lives on the repeated indices, so P_beta P_rep = |beta><beta|
+    pound = (p_rep + np.outer(beta, beta)) / (2 * n)
     # singlet (|jk> - |kj>)/sqrt(2) for each j < k, on disjoint index pairs
     j, k = np.triu_indices(n, 1)
     jk, kj = j * n + k, k * n + j
@@ -146,7 +164,8 @@ def induced_fidelity_functional(m: GeneralizedMeasurement) -> float:
     """F = Tr(L $) with $ the attack's state operator."""
     pound = pound_matrix(m.dim)
     choi = choi_of_kraus(m.ops)
-    return float(np.einsum("ij,ji->", pound, choi.matrix).real)
+    # L is real and symmetric: Tr(L $) = sum_ij L_ij Re $_ij, read row by row
+    return float(np.einsum("ij,ij->", pound, choi.matrix.real))
 
 
 def spectral_quantities(m: GeneralizedMeasurement) -> tuple[float, float]:

@@ -33,6 +33,8 @@ from .metrics import estimation_fidelity, induced_fidelity_closed, induced_fidel
 _NOISE = -1e-9
 #: largest float-noise offset of an estimation fidelity from its range or target
 _G_TOL = 1e-9
+#: random attacks, a sweep's first ones, that sweep_random also returns
+_KEPT = 10
 
 
 class BoundViolation(RuntimeError):
@@ -109,20 +111,30 @@ def trial_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence(entropy=[int(seed), t]).generate_state(1, np.uint64)[0])
 
 
-def sweep_random(n: int, trials: int, seed: int = 0) -> tuple[list[TradeoffPoint], float]:
+def sweep_random(
+    n: int, trials: int, seed: int = 0
+) -> tuple[list[TradeoffPoint], float, list[GeneralizedMeasurement]]:
     """Certify the bound on `trials` seeded random attacks.
 
-    Returns all evaluated points and the minimum margin. Margins below _NOISE
-    raise BoundViolation (the bound is proven, so that is an implementation
-    bug, not a counterexample).
+    Returns all evaluated points, the minimum margin and the first
+    min(trials, _KEPT) attacks, so a caller can check them further without
+    building them again.
+    Margins below _NOISE raise BoundViolation (the bound is proven, so that
+    is an implementation bug, not a counterexample).
     """
     check_dim(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    points = [attack_point(random_attack(n, seed=trial_seed(seed, t))) for t in range(trials)]
+    points, kept = [], []
+    for t in range(trials):
+        m = random_attack(n, seed=trial_seed(seed, t))
+        points.append(attack_point(m))
+        if t < _KEPT:
+            kept.append(m)
+        del m  # an attack that is not kept is freed before the next one is drawn
     for p in points:
         _check_margin(p)
-    return points, min(p.margin for p in points)
+    return points, min(p.margin for p in points), kept
 
 
 def _pin_diagonal(d: np.ndarray, target: float, n: int) -> np.ndarray | None:

@@ -8,6 +8,7 @@ import pytest
 from qdecoy import attacks
 from qdecoy.attacks import GeneralizedMeasurement
 from qdecoy.cli import main
+from qdecoy.metrics import induced_fidelity
 from qdecoy.tradeoff import disturbance_bound
 
 
@@ -58,6 +59,16 @@ class TestCurve:
         assert main(["curve", "--n", "65"]) == 2
         assert main(["curve", "--n", "4", "--points", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_points_cap(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", unreachable)
+        assert main(["curve", "--n", "4", "--points", "10000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 10000000000 grid points exceed the cap 100000\n"
 
 
 class TestVerify:
@@ -118,19 +129,24 @@ class TestVerify:
 
     def test_cross_check_attacks_are_the_sweeps_first_ten(self, monkeypatch):
         for trials in (3, 12):
-            swept, checked = [], []
+            built, checked = [], []
 
-            def recorder(seen):
-                def build(n, outcomes=None, seed=0):
-                    seen.append(seed)
-                    return attacks.random_attack(n, outcomes, seed=seed)
-                return build
+            def build(n, outcomes=None, seed=0):
+                built.append(attacks.random_attack(n, outcomes, seed=seed))
+                return built[-1]
 
-            monkeypatch.setattr("qdecoy.tradeoff.random_attack", recorder(swept))
-            monkeypatch.setattr("qdecoy.cli.random_attack", recorder(checked))
+            def oracle(m, e):
+                checked.append(m)
+                return induced_fidelity(m, e)
+
+            monkeypatch.setattr("qdecoy.tradeoff.random_attack", build)
+            monkeypatch.setattr("qdecoy.cli.induced_fidelity", oracle)
             assert main(["verify", "--n", "2", "--trials", str(trials), "--seed", "5"]) == 0
-            assert len(swept) == trials
-            assert checked == swept[: min(trials, 10)]
+            # each random attack is built once, and the cross-check reuses the sweep's first ten
+            assert len(built) == trials
+            swept = [m for m in checked if m.descriptor.startswith("random(")]
+            assert len(swept) == min(trials, 10)
+            assert all(a is b for a, b in zip(swept, built))
 
 
 class TestSimulate:
@@ -240,6 +256,21 @@ class TestOptimize:
         )
         capsys.readouterr()
 
+
+    def test_dimension_cap(self, capsys, monkeypatch):
+        class Searched(Exception):
+            pass
+
+        def minimize(*args, **kwargs):
+            raise Searched
+
+        monkeypatch.setattr("qdecoy.tradeoff._sciopt.minimize", minimize)
+        assert main(["optimize", "--n", "25", "--g", "0.5", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n = 25 exceeds the search cap 24\n"
+        with pytest.raises(Searched):
+            main(["optimize", "--n", "24", "--g", "0.5", "--restarts", "1", "--seed", "0"])
 
     def test_no_feasible_candidate_exits_one(self, capsys, monkeypatch):
         def infeasible(n, g, **kwargs):

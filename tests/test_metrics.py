@@ -1,5 +1,7 @@
 """Tests for estimation fidelity, induced fidelity, and their functional forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,7 @@ from qdecoy.attacks import (
 )
 from qdecoy.choi import apply_channel, choi_of_kraus, mat_to_vec
 from qdecoy.ensembles import Ensemble, decoy_ket, pairing_ensemble
+from qdecoy import metrics
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     banaszek_bound,
@@ -85,6 +88,26 @@ def _pound_by_loop(n):
             s[k * n + j] = -1.0 / np.sqrt(2)
             pound += np.outer(s, s) / (n * n)
     return pound
+
+
+def _induced_fidelity_by_outcome(m, e):
+    """The definition sum one outcome at a time, with (states, n) temporaries."""
+    weights = np.array([w for w, _ in e.items])
+    kets = np.array([ket for _, ket in e.items])
+    bras = kets.conj()
+    per_state = np.zeros(len(weights))
+    for op in m.ops:
+        per_state += np.abs(np.sum(bras * (kets @ op.T), axis=1)) ** 2
+    return float(weights @ per_state)
+
+
+def _custom_ensemble(n, seed):
+    """n + 3 random unit kets with unequal weights."""
+    rng = np.random.default_rng(seed)
+    kets = rng.normal(size=(n + 3, n)) + 1j * rng.normal(size=(n + 3, n))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    weights = rng.dirichlet(np.ones(n + 3))
+    return Ensemble(dim=n, items=tuple(zip(weights, kets)))
 
 
 def _guesses_by_loop(m):
@@ -279,6 +302,37 @@ class TestInducedFidelity:
         with pytest.raises(ValueError):
             induced_fidelity(identity_attack(2), pairing_ensemble(3))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_blocked_sum_matches_outcome_loop(self, n):
+        ensembles = [pairing_ensemble(n), _canonical_ensemble(n), _custom_ensemble(n, n)]
+        for k in (1, n, n * n, n * n + 3):
+            m = random_attack(n, outcomes=k, seed=k)
+            for e in ensembles:
+                assert_allclose(induced_fidelity(m, e), _induced_fidelity_by_outcome(m, e), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("states", [1, 3, 16])
+    def test_blocks_that_do_not_divide_the_states(self, monkeypatch, states):
+        n, k = 4, 5
+        m = random_attack(n, outcomes=k, seed=2)
+        monkeypatch.setattr(metrics, "_ORACLE_BLOCK_BYTES", states * (16 * n * n + 24 * k))
+        # 16 and 7 states: blocks of 3 leave one over; unequal weights catch a misaligned block
+        for e in (pairing_ensemble(n), _custom_ensemble(n, 5)):
+            assert_allclose(induced_fidelity(m, e), _induced_fidelity_by_outcome(m, e), rtol=0, atol=1e-14)
+
+    def test_block_temporaries_are_bounded(self):
+        # 409 decoys per block; one product over all 1024 would hold 16 MiB of
+        # columns, 16 MiB of amplitudes and 8 MiB of their moduli
+        m = random_attack(32, seed=1)
+        e = pairing_ensemble(32)
+        tracemalloc.start()
+        try:
+            induced_fidelity(m, e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kets = 32 * 32 * 32 * 16
+        assert peak <= kets + metrics._ORACLE_BLOCK_BYTES + 2**16
+
 
 class TestFunctionalMatrices:
     def test_projector_identities(self):
@@ -312,9 +366,15 @@ class TestFunctionalMatrices:
         ) / 8.0
         assert_allclose(pound_matrix(2), ref, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_pound_matches_singlet_loop(self, n):
         assert_array_equal(pound_matrix(n), _pound_by_loop(n))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_pound_is_exactly_symmetric(self, n):
+        # induced_fidelity_functional reads Tr(L $) as sum_ij L_ij $_ij
+        pound = pound_matrix(n)
+        assert_array_equal(pound, pound.T)
 
     def test_pound_spectrum(self):
         for n in (2, 3, 4, 6):

@@ -107,7 +107,7 @@ class TestSaturationGap:
 
 class TestSweepRandom:
     def test_margins_nonnegative(self):
-        points, min_margin = sweep_random(2, trials=25, seed=0)
+        points, min_margin, _ = sweep_random(2, trials=25, seed=0)
         assert len(points) == 25
         assert min_margin >= -1e-9
         assert min_margin == min(p.margin for p in points)
@@ -119,7 +119,7 @@ class TestSweepRandom:
             "qdecoy.tradeoff.random_attack",
             lambda n, seed=0: injected if seed == last_seed else random_attack(n, seed=seed),
         )
-        points, min_margin = sweep_random(2, trials=10, seed=0)
+        points, min_margin, _ = sweep_random(2, trials=10, seed=0)
         last = points[-1]
         assert last.source == "prob(n=2,p=0.5)"
         assert_allclose(last.g, 0.75, rtol=0, atol=1e-12)
@@ -130,7 +130,9 @@ class TestSweepRandom:
     def test_deterministic(self):
         a = sweep_random(3, trials=8, seed=42)
         b = sweep_random(3, trials=8, seed=42)
-        assert a == b
+        assert a[:2] == b[:2]
+        for ma, mb in zip(a[2], b[2], strict=True):
+            assert_array_equal(ma.ops, mb.ops)
         c = sweep_random(3, trials=8, seed=43)
         assert c[0] != a[0]
 
@@ -141,9 +143,17 @@ class TestSweepRandom:
             6635463128224577688,
             18279110831140952437,
         ]
-        points, _ = sweep_random(2, trials=3, seed=7)
+        points, _, _ = sweep_random(2, trials=3, seed=7)
         for t, p in enumerate(points):
             assert p == attack_point(random_attack(2, seed=trial_seed(7, t)))
+
+    def test_keeps_the_first_attacks(self):
+        points, _, kept = sweep_random(2, trials=12, seed=7)
+        assert len(kept) == 10
+        for t, m in enumerate(kept):
+            assert_array_equal(m.ops, random_attack(2, seed=trial_seed(7, t)).ops)
+            assert attack_point(m) == points[t]
+        assert len(sweep_random(2, trials=2, seed=7)[2]) == 2
 
     def test_broken_attack_raises(self, monkeypatch):
         bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
@@ -167,7 +177,7 @@ class TestSweepRandom:
 
     def test_margin_within_noise_passes(self, monkeypatch):
         self._margin_pinned_at(monkeypatch, -1e-10)
-        _, min_margin = sweep_random(2, trials=3, seed=0)
+        _, min_margin, _ = sweep_random(2, trials=3, seed=0)
         assert min_margin == -1e-10
 
     def test_argument_guards(self):
