@@ -22,6 +22,9 @@ from .linalg import DEFAULT_TOL, ZERO_NORM, check_dim, inv_sqrt_psd
 
 log = logging.getLogger(__name__)
 
+#: bytes of operator rows that completeness_residual conjugates at a time
+_GRAM_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedMeasurement:
@@ -48,8 +51,17 @@ class GeneralizedMeasurement:
         return self.ops.shape[1]
 
     def completeness_residual(self) -> float:
-        """Max-norm of sum_r A_r†A_r - Id."""
-        return float(np.max(np.abs(gram_sum(self.ops) - np.eye(self.dim))))
+        """Max-norm of sum_r A_r†A_r - Id.
+
+        The Gram sum runs over blocks of _GRAM_BLOCK_BYTES of the (K*n, n) rows,
+        so the check holds one block's conjugate, not a copy of the whole attack.
+        """
+        rows = self.ops.reshape(-1, self.dim)
+        step = max(1, _GRAM_BLOCK_BYTES // rows[0].nbytes)
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        for i in range(0, len(rows), step):
+            total += gram_sum(rows[i : i + step])
+        return float(np.max(np.abs(total - np.eye(self.dim))))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Raise unless this is a well-formed complete measurement."""
@@ -67,7 +79,10 @@ class GeneralizedMeasurement:
 
 
 def gram_sum(a: np.ndarray) -> np.ndarray:
-    """sum_r A_r†A_r over a (K, m, n) stack, as one product of its (K*m, n) reshape."""
+    """sum_r A_r†A_r over a (K, m, n) stack, as one product of its (K*m, n) reshape.
+
+    A 2-D (rows, n) block is its own reshape, so it gives rows† rows.
+    """
     rows = a.reshape(-1, a.shape[-1])
     return rows.conj().T @ rows
 
@@ -99,7 +114,8 @@ def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
         log.info("%s: dropped %d zero-probability outcome(s)", descriptor, dropped)
     if not keep.any():
         raise ValueError(f"{descriptor}: no nonzero outcomes")
-    m = GeneralizedMeasurement(a[keep], descriptor)
+    # a[keep] is a copy, made only when an outcome goes
+    m = GeneralizedMeasurement(a[keep] if dropped else a, descriptor)
     m._check_complete()
     return m
 
@@ -163,7 +179,13 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
         raise ValueError("need at least one outcome")
     for attempt in range(8):
         rng = np.random.default_rng([seed, attempt])
-        b = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        # one draw of the real parts, then the imaginary parts: the stream of two draws,
+        # filled in place so no complex temporary is made
+        parts = rng.standard_normal((2, k, n, n))
+        b = np.empty((k, n, n), dtype=complex)
+        b.real = parts[0]
+        b.imag = parts[1]
+        del parts
         try:
             s_inv_sqrt = inv_sqrt_psd(gram_sum(b))
         except ValueError:

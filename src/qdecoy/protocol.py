@@ -125,7 +125,8 @@ def _sample_outcomes(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.n
     """
     probs = np.maximum(table, 0.0)
     cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-    order = np.argsort(rows, kind="stable")
+    # stable sorts of 8- and 16-bit keys are radix sorts; the permutation is the same
+    order = np.argsort(rows.astype(np.min_scalar_type(table.shape[0] - 1)), kind="stable")
     counts = np.bincount(rows, minlength=table.shape[0])
     ends = np.cumsum(counts)
     out = np.empty(rows.shape[0], dtype=np.intp)

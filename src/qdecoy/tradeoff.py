@@ -10,6 +10,10 @@ with G running from 1/n (do nothing) to 1 (full readout) and D from 0 to
 optimal_attack meets it with equality at every admissible G. This module
 evaluates the bound, certifies attacks against it (random sweeps), and
 rediscovers the optimum by constrained local search over diagonal attacks.
+
+Only that search uses scipy (SLSQP). It imports scipy.optimize when it
+runs and calls optimize.minimize through the module, so verify, simulate
+and curve never load scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .attacks import (
     GeneralizedMeasurement,
@@ -218,6 +221,7 @@ def _constraints(n: int, g_target: float) -> list[dict]:
 
 def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) -> np.ndarray | None:
     """One SLSQP run from a random feasible-ish start; returns the raw grid."""
+    from scipy import optimize  # imported here: only the search needs scipy
 
     def obj(x):
         col = x.reshape(n, n).sum(axis=0)
@@ -229,7 +233,7 @@ def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) 
 
     start = np.abs(rng.standard_normal((n, n)))
     start /= np.linalg.norm(start, axis=1, keepdims=True)
-    res = _sciopt.minimize(
+    res = optimize.minimize(
         obj,
         start.ravel(),
         jac=obj_grad,

@@ -1,6 +1,7 @@
 """Attack constructors, validation, the (K, n, n) representation and the descriptor grammar."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qdecoy import attacks
 from qdecoy.choi import mat_to_vec
+from qdecoy.linalg import inv_sqrt_psd
 
 
 def _coeff_norm_sq(m):
@@ -59,6 +61,17 @@ class TestFromKraus:
         assert m.completeness_residual() == pytest.approx(
             float(np.max(np.abs(s - np.eye(3)))), abs=1e-14
         )
+
+    def test_completeness_residual_in_row_blocks(self, monkeypatch):
+        m = attacks.random_attack(3, 5, seed=4)
+        whole = float(np.max(np.abs(attacks.gram_sum(m.ops) - np.eye(3))))
+        monkeypatch.setattr(attacks, "_GRAM_BLOCK_BYTES", 2 * m.ops[0, 0].nbytes)  # 2 rows a block
+        assert m.completeness_residual() == pytest.approx(whole, abs=1e-15)
+        monkeypatch.setattr(attacks, "_GRAM_BLOCK_BYTES", 1)
+        assert m.completeness_residual() == pytest.approx(whole, abs=1e-15)
+        bad = attacks.GeneralizedMeasurement(np.concatenate([m.ops, m.ops[:1]]), descriptor="corrupt")
+        with pytest.raises(ValueError, match="completeness violated"):
+            bad.validate()
 
     def test_corrupt_instance_fails_validate(self):
         bad = attacks.GeneralizedMeasurement([0.5 * np.eye(2, dtype=complex)], descriptor="corrupt")
@@ -205,6 +218,26 @@ class TestRandomAttack:
         m = attacks.random_attack(3, 6, seed=5)
         for op, x in zip(m.ops, b):
             npt.assert_allclose(op, x @ s_inv_sqrt, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 16, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 12345678901])
+    def test_draw_is_the_two_call_stream(self, n, seed):
+        # the real and imaginary parts as two separate draws, summed, then whitened
+        rng = np.random.default_rng([seed, 0])
+        b = rng.standard_normal((n * n, n, n)) + 1j * rng.standard_normal((n * n, n, n))
+        want = b @ inv_sqrt_psd(attacks.gram_sum(b))
+        npt.assert_array_equal(attacks.random_attack(n, seed=seed).ops, want)
+
+    def test_build_peak_is_about_two_attacks(self):
+        attacks.random_attack(4, seed=0)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            m = attacks.random_attack(32, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whitened stack and its copy into the attack, plus one Gram block and small arrays
+        assert peak <= 2 * m.ops.nbytes + 2 * 2**20
 
     def test_default_outcome_count_is_n_squared(self):
         assert len(attacks.random_attack(3, seed=0).ops) == 9

@@ -1,10 +1,15 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdecoy
 from qdecoy import attacks
 from qdecoy.attacks import GeneralizedMeasurement
 from qdecoy.cli import main
@@ -264,7 +269,7 @@ class TestOptimize:
         def minimize(*args, **kwargs):
             raise Searched
 
-        monkeypatch.setattr("qdecoy.tradeoff._sciopt.minimize", minimize)
+        monkeypatch.setattr("scipy.optimize.minimize", minimize)
         assert main(["optimize", "--n", "25", "--g", "0.5", "--seed", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -288,3 +293,38 @@ class TestParser:
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
         capsys.readouterr()
+
+
+class TestStartup:
+    def test_only_optimize_loads_scipy(self):
+        # a fresh interpreter, since this test process has scipy loaded already
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from qdecoy.cli import main
+
+            def loaded():
+                return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+            commands = [
+                ["curve", "--n", "4"],
+                ["verify", "--n", "3", "--trials", "2", "--seed", "1"],
+                ["simulate", "--attack", "optimal(n=4,g=0.5)", "--shots", "1000", "--seed", "1"],
+            ]
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+                assert loaded() == [], (argv, loaded()[:5])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["optimize", "--n", "3", "--g", "0.6", "--restarts", "1", "--seed", "0"]) == 0
+            assert "scipy.optimize" in sys.modules
+            """
+        )
+        src = str(Path(qdecoy.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

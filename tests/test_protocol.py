@@ -66,6 +66,14 @@ class TestSampler:
         u = np.concatenate([np.concatenate([[0.0], c, [np.nextafter(c[-1], 2.0)]]) for c in cum])
         np.testing.assert_array_equal(_sample_outcomes(p_decoy, rows, u), _sample_rows(p_decoy, rows, u))
 
+    def test_rows_past_sixteen_bit_keys(self):
+        # more rows than a 16-bit key holds, so the grouping sorts 32-bit keys
+        rng = np.random.default_rng(2)
+        table = rng.random((70000, 3))
+        rows = np.concatenate([[0, 65535, 65536, 69999], rng.integers(0, table.shape[0], size=5000)])
+        u = rng.random(rows.size)
+        np.testing.assert_array_equal(_sample_outcomes(table, rows, u), _sample_rows(table, rows, u))
+
     def test_single_row(self):
         # the shape trial_trace passes: one row, one trial
         rng = np.random.default_rng(1)

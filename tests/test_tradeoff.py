@@ -218,14 +218,16 @@ class TestSearchConstraints:
         assert_array_equal(guess["jac"](np.zeros(n * n)), jac)
 
     def test_slsqp_gets_two_constraints_with_jacobians(self, monkeypatch):
+        from scipy import optimize
+
         seen = []
-        minimize = tradeoff._sciopt.minimize
+        minimize = optimize.minimize
 
         def spy(*args, **kwargs):
             seen.append(kwargs["constraints"])
             return minimize(*args, **kwargs)
 
-        monkeypatch.setattr(tradeoff._sciopt, "minimize", spy)
+        monkeypatch.setattr("scipy.optimize.minimize", spy)
         optimize_attack(4, 0.625, restarts=2, seed=0)
         assert len(seen) == 2
         for cons in seen:
