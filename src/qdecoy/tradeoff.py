@@ -38,6 +38,12 @@ _NOISE = -1e-9
 _G_TOL = 1e-9
 #: random attacks, a sweep's first ones, that sweep_random also returns
 _KEPT = 10
+#: floor on a diagonal entry before water-filling, so a zero can still be scaled up
+_DIAG_FLOOR = 1e-300
+#: diagonal weight left over or overspent by less than this is float noise, not infeasible
+_PIN_SLACK = 1e-12
+#: squared row mass at or below this is zero: nothing to fill, or nothing to rescale
+_MASS_FLOOR = 1e-30
 
 
 class BoundViolation(RuntimeError):
@@ -142,12 +148,12 @@ def sweep_random(
 
 def _pin_diagonal(d: np.ndarray, target: float, n: int) -> np.ndarray | None:
     """Scale entries of d so sum(d^2) = target with each capped at 1 (water-filling)."""
-    d = np.clip(d, 1e-300, 1.0)
+    d = np.clip(d, _DIAG_FLOOR, 1.0)
     free = np.ones(n, dtype=bool)
     for _ in range(n + 1):
         rem = target - float((d[~free] ** 2).sum())
         ssq_free = float((d[free] ** 2).sum())
-        if rem < -1e-12 or (rem > 1e-12 and ssq_free <= 0.0):
+        if rem < -_PIN_SLACK or (rem > _PIN_SLACK and ssq_free <= 0.0):
             return None
         scale = np.sqrt(max(rem, 0.0) / ssq_free) if ssq_free > 0 else 0.0
         over = free & (d * scale > 1.0)
@@ -176,9 +182,9 @@ def _polish(a: np.ndarray, n: int, g_target: float) -> np.ndarray | None:
         off[j] = 0.0
         rem = 1.0 - d[j] ** 2
         onorm2 = float((off ** 2).sum())
-        if rem <= 1e-30:
+        if rem <= _MASS_FLOOR:
             off[:] = 0.0
-        elif onorm2 <= 1e-30:
+        elif onorm2 <= _MASS_FLOOR:
             return None
         else:
             off *= np.sqrt(rem / onorm2)

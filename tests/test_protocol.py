@@ -33,6 +33,14 @@ def _sample_rows(table, rows, u):
     return np.minimum((u[:, None] > cum).sum(axis=1), table.shape[1] - 1)
 
 
+def _uniforms_on_entries(table):
+    """Every row once per CDF entry, with u on that entry, at 0 and just above the last entry."""
+    cum = np.cumsum(table / table.sum(axis=1, keepdims=True), axis=1)
+    rows = np.repeat(np.arange(table.shape[0]), cum.shape[1] + 2)
+    u = np.concatenate([np.concatenate([[0.0], c, [np.nextafter(c[-1], 2.0)]]) for c in cum])
+    return rows, u
+
+
 def _sampler_attacks():
     for n in range(2, 9):
         yield identity_attack(n)
@@ -59,15 +67,76 @@ class TestSampler:
 
     def test_uniforms_on_cdf_entries(self):
         # u equal to a CDF entry is where "count of entries below u" is decided by ties
-        m = random_attack(3, outcomes=5, seed=4)
-        _, p_decoy, _ = _pair_tables(m)
-        cum = np.cumsum(p_decoy / p_decoy.sum(axis=1, keepdims=True), axis=1)
-        rows = np.repeat(np.arange(p_decoy.shape[0]), cum.shape[1] + 2)
-        u = np.concatenate([np.concatenate([[0.0], c, [np.nextafter(c[-1], 2.0)]]) for c in cum])
-        np.testing.assert_array_equal(_sample_outcomes(p_decoy, rows, u), _sample_rows(p_decoy, rows, u))
+        for m in _sampler_attacks():
+            for table in _pair_tables(m)[:2]:
+                rows, u = _uniforms_on_entries(table)
+                np.testing.assert_array_equal(
+                    _sample_outcomes(table, rows, u), _sample_rows(table, rows, u), err_msg=m.descriptor
+                )
+
+    def test_outcome_counts_around_powers_of_two(self):
+        # the search halves K each step; odd and power-of-two K end their last steps differently
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 3, 4, 5, 8, 9):
+            table = rng.random((6, k))
+            if k > 1:
+                table[1, 0] = 0.0
+                table[2, -1] = 0.0
+            for rows, u in (_uniforms_on_entries(table), (rng.integers(0, 6, 4000), rng.random(4000))):
+                got = _sample_outcomes(table, rows, u)
+                np.testing.assert_array_equal(got, _sample_rows(table, rows, u), err_msg=f"K = {k}")
+                assert got.min() >= 0 and got.max() <= k - 1
+
+    def test_cdf_ending_below_one_clamps_to_last_outcome(self):
+        # 21 equal entries cumulate to 1 - 7e-16; a uniform above that is outcome K - 1, not K
+        table = np.full((1, 21), 1.0 / 21)
+        last = np.cumsum(table[0] / table[0].sum())[-1]
+        assert last < 1.0
+        u = np.array([np.nextafter(last, 1.0), 1.0 - 2.0**-53])
+        rows = np.zeros(2, dtype=np.intp)
+        np.testing.assert_array_equal(_sample_outcomes(table, rows, u), [20, 20])
+        np.testing.assert_array_equal(_sample_outcomes(table, rows, u), _sample_rows(table, rows, u))
+        # the same row followed by zeros: the clamp lands where the reference's does
+        table = np.concatenate([table, np.zeros((1, 3))], axis=1)
+        rows, u = _uniforms_on_entries(table)
+        np.testing.assert_array_equal(_sample_outcomes(table, rows, u), _sample_rows(table, rows, u))
+
+    def test_zero_probability_runs_at_head_and_tail(self):
+        # zero entries repeat a CDF value; a uniform in (0, 1) never lands inside a run
+        table = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.25, 0.75, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0],
+            ]
+        )
+        rows, u = _uniforms_on_entries(table)
+        rng = np.random.default_rng(5)
+        rows = np.concatenate([rows, rng.integers(0, table.shape[0], 3000)])
+        u = np.concatenate([u, rng.random(3000)])
+        got = _sample_outcomes(table, rows, u)
+        np.testing.assert_array_equal(got, _sample_rows(table, rows, u))
+        inside = (u > 0) & (u < 1)
+        assert np.all(table[rows[inside], got[inside]] > 0)
+
+    def test_memory_is_tables_plus_a_few_arrays_per_trial(self):
+        # no (trials, K) or (trials, log K) array: two tables and 48 bytes a trial at most
+        rng = np.random.default_rng(6)
+        table = rng.random((256, 256))
+        rows = rng.integers(0, 256, 200000)
+        u = rng.random(200000)
+        _sample_outcomes(table, rows[:10], u[:10])
+        tracemalloc.start()
+        try:
+            _sample_outcomes(table, rows, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.nbytes + 48 * rows.size
 
     def test_rows_past_sixteen_bit_keys(self):
-        # more rows than a 16-bit key holds, so the grouping sorts 32-bit keys
+        # more rows than a 16-bit index holds; the flat CDF has 210000 entries
         rng = np.random.default_rng(2)
         table = rng.random((70000, 3))
         rows = np.concatenate([[0, 65535, 65536, 69999], rng.integers(0, table.shape[0], size=5000)])
@@ -175,6 +244,30 @@ class TestRunProtocol:
             d_hat=0.9383213110897202,
             d_se=0.0010753288951102895,
             d_analytic=0.937611419932862,
+            d_within_4se=True,
+        )
+
+    def test_seeded_sampled_report_pinned(self):
+        # recorded from the per-row sampler: K = 27 is not a power of two, and Bob's bit is sampled
+        rep = run_protocol(
+            5, random_attack(5, outcomes=27, seed=3), 30000, decoy_fraction=0.3, seed=7, sample_bob=True
+        )
+        assert rep == SimReport(
+            n=5,
+            shots=30000,
+            decoy_fraction=0.3,
+            seed=7,
+            attack_descriptor="random(n=5,k=27,seed=3)",
+            sample_bob=True,
+            message_trials=21038,
+            decoy_trials=8962,
+            g_hat=0.32336724023196123,
+            g_se=0.003224944871721891,
+            g_analytic=0.3187250334289836,
+            g_within_4se=True,
+            d_hat=0.8052889979915198,
+            d_se=0.004182815020775933,
+            d_analytic=0.8022734730006871,
             d_within_4se=True,
         )
 
