@@ -21,7 +21,6 @@ from .choi import (
     choi_of_kraus,
     is_cp,
     is_tp,
-    mat_to_vec,
     sandwich_identity_residual,
 )
 from .ensembles import (
@@ -41,7 +40,6 @@ from .attacks import (
     random_attack,
 )
 from .metrics import (
-    GuessTable,
     banaszek_bound,
     beta_vector,
     decoy_amplitudes,
@@ -62,7 +60,7 @@ from .tradeoff import (
     saturation_gap,
     sweep_random,
 )
-from .protocol import SimReport, TrialRecord, run_protocol, trial_trace
+from .protocol import SimReport, run_protocol
 
 __version__ = "0.1.0"
 
@@ -74,7 +72,6 @@ __all__ = [
     "inv_sqrt_psd",
     "is_hermitian",
     "ChoiState",
-    "mat_to_vec",
     "choi_of_kraus",
     "apply_channel",
     "sandwich_identity_residual",
@@ -92,7 +89,6 @@ __all__ = [
     "random_attack",
     "diagonal_attack",
     "parse_descriptor",
-    "GuessTable",
     "estimation_fidelity",
     "estimation_fidelity_functional",
     "decoy_amplitudes",
@@ -111,7 +107,5 @@ __all__ = [
     "sweep_random",
     "optimize_attack",
     "SimReport",
-    "TrialRecord",
     "run_protocol",
-    "trial_trace",
 ]

@@ -63,19 +63,19 @@ class GeneralizedMeasurement:
             total += gram_sum(rows[i : i + step])
         return float(np.max(np.abs(total - np.eye(self.dim))))
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         """Raise unless this is a well-formed complete measurement."""
         if not len(self.ops):
             raise ValueError("measurement has no outcomes")
         zero = np.flatnonzero(_norms(self.ops) < ZERO_NORM)
         if zero.size:
             raise ValueError(f"outcome {zero[0]}: zero operator")
-        self._check_complete(tol)
+        self._check_complete()
 
-    def _check_complete(self, tol: float = DEFAULT_TOL) -> None:
+    def _check_complete(self) -> None:
         res = self.completeness_residual()
-        if res > tol:
-            raise ValueError(f"completeness violated: residual {res:.3e} > {tol:.1e}")
+        if res > DEFAULT_TOL:
+            raise ValueError(f"completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
 
 
 def gram_sum(a: np.ndarray) -> np.ndarray:
@@ -92,12 +92,11 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a.reshape(a.shape[0], -1), axis=1)
 
 
-def from_kraus(ops, tol: float = DEFAULT_TOL, descriptor: str = "") -> GeneralizedMeasurement:
+def from_kraus(ops) -> GeneralizedMeasurement:
     """Validated measurement from a nonempty list of uniform square operators."""
-    m = GeneralizedMeasurement(ops, descriptor)
-    if not descriptor:
-        m = replace(m, descriptor=f"custom(n={m.dim},k={len(m.ops)})")
-    m.validate(tol)
+    m = GeneralizedMeasurement(ops)
+    m = replace(m, descriptor=f"custom(n={m.dim},k={len(m.ops)})")
+    m.validate()
     return m
 
 
@@ -199,18 +198,13 @@ def diagonal_attack(rows) -> GeneralizedMeasurement:
     """Measurement from a (K, n) table whose row r is the diagonal of A_r.
 
     The entries a_rj must satisfy completeness sum_r |a_rj|^2 = 1 per level j,
-    which forces the total coefficient norm sum |a_rj|^2 = n.
+    which forces the total coefficient norm sum |a_rj|^2 = n. For a diagonal
+    stack sum_r A_r†A_r = diag(sum_r |a_rj|^2), so validate() checks exactly that.
     """
     a = np.asarray(rows, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"coefficient table must be a (K, n) array, got shape {a.shape}")
     k, n = a.shape
-    weight = np.abs(a) ** 2
-    total = float(weight.sum())
-    if abs(total - n) > n * DEFAULT_TOL:
-        raise ValueError(f"coefficient norm^2 is {total!r}, expected {n}")
-    if np.max(np.abs(weight.sum(axis=0) - 1.0)) > DEFAULT_TOL:
-        raise ValueError("completeness violated: per-level outcome weights do not sum to 1")
     ops = np.zeros((k, n, n), dtype=complex)
     ops[:, np.arange(n), np.arange(n)] = a
     m = GeneralizedMeasurement(ops, f"diagonal(n={n},k={k})")
@@ -246,6 +240,8 @@ def parse_descriptor(text: str) -> GeneralizedMeasurement:
         key = key.strip()
         if key not in fields:
             raise ValueError(f"unknown argument {key!r} for family {name!r}")
+        if key in kwargs:
+            raise ValueError(f"repeated argument {key!r} in {text!r}")
         try:
             kwargs[key] = fields[key](val.strip())
         except ValueError as exc:

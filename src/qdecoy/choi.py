@@ -30,14 +30,6 @@ class ChoiState:
     matrix: np.ndarray
 
 
-def mat_to_vec(a: np.ndarray) -> np.ndarray:
-    """Flatten an m x n matrix to the length-mn vector, (i, j) -> i*n + j."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    return a.reshape(-1)
-
-
 def choi_of_kraus(kraus) -> ChoiState:
     """Build $ = sum_r vec(A_r) vec(A_r)† from a nonempty uniform Kraus set.
 
@@ -93,12 +85,12 @@ def sandwich_identity_residual(
 
 def is_cp(choi: ChoiState) -> bool:
     """Complete positivity: the state operator is PSD."""
-    return psd_check(choi.matrix, DEFAULT_TOL)
+    return psd_check(choi.matrix)
 
 
-def is_tp(choi: ChoiState, tol: float = DEFAULT_TOL) -> bool:
-    """Trace preservation: Tr_1($) = Id on the input system within tol."""
-    if not is_hermitian(choi.matrix, tol):
+def is_tp(choi: ChoiState) -> bool:
+    """Trace preservation: Tr_1($) = Id on the input system within DEFAULT_TOL."""
+    if not is_hermitian(choi.matrix):
         return False
     red = partial_trace(choi.matrix, choi.dim_out, choi.dim_in, "first")
-    return bool(np.max(np.abs(red - np.eye(choi.dim_in))) <= tol)
+    return bool(np.max(np.abs(red - np.eye(choi.dim_in))) <= DEFAULT_TOL)

@@ -3,9 +3,10 @@
 Four subcommands: `curve` emits the bound curve as CSV/JSON, `verify` runs the
 certification sweep and the named-family checks, `simulate` Monte-Carlos the
 protocol for a described attack, `optimize` rediscovers the least-disturbance
-attack at fixed estimation fidelity. Exit codes: 0 success, 1 verification or
-contract failure, 2 usage/parse error. Randomized commands require --seed and
-are bit-reproducible given it. File output is atomic (temp file + rename).
+attack at fixed estimation fidelity. Exit codes: 0 success, 1 verification,
+contract or write failure, 2 usage/parse error. Randomized commands require a
+nonnegative --seed and are bit-reproducible given it. File output is atomic
+(temp file + rename).
 """
 
 from __future__ import annotations
@@ -74,21 +75,25 @@ def _runtime_failure(msg: str) -> int:
     return 1
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Print to stdout, or write the whole file atomically."""
+def _write_output(text: str, path: str | None) -> int:
+    """Print to stdout, or write the whole file atomically; returns the exit code."""
     if path is None:
         sys.stdout.write(text)
-        return
-    path = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".qdecoy-tmp-")
+        return 0
+    target = os.path.abspath(path)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".qdecoy-tmp-")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        return _runtime_failure(f"cannot write {path}: {exc.strerror or exc}")
+    return 0
 
 
 def _check_n(n: int) -> str | None:
@@ -120,11 +125,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lines = ["g,d_bound"]
         lines += [f"{g:.12e},{d:.12e}" for g, d in rows]
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        obj = {"n": args.n, "points": [{"g": g, "d_bound": d} for g, d in rows]}
-        _write_output(json.dumps(obj, indent=2) + "\n", args.out)
-    return 0
+        return _write_output("\n".join(lines) + "\n", args.out)
+    obj = {"n": args.n, "points": [{"g": g, "d_bound": d} for g, d in rows]}
+    return _write_output(json.dumps(obj, indent=2) + "\n", args.out)
 
 
 def _named_families(n: int) -> tuple[list, list]:
@@ -229,8 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _runtime_failure(str(exc))
     except MemoryError:
         return _runtime_failure(f"not enough memory to simulate {args.shots} shots of {attack.descriptor}")
-    _write_output(json.dumps(asdict(report), indent=2) + "\n", args.out)
-    return 0
+    return _write_output(json.dumps(asdict(report), indent=2) + "\n", args.out)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -247,8 +249,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, iters=args.iters, seed=args.seed)
     except RuntimeError as exc:
         return _runtime_failure(str(exc))
-    _write_output(json.dumps(asdict(point), indent=2) + "\n", args.out)
-    return 0
+    return _write_output(json.dumps(asdict(point), indent=2) + "\n", args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,6 +300,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # verify, simulate and optimize take a seed; numpy's generators reject a negative one
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return _usage(f"--seed must be nonnegative, got {seed}")
     return args.func(args)
 
 

@@ -21,12 +21,12 @@ def check_dim(n: int) -> None:
         raise ValueError(f"need dimension n >= 2, got {n}")
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max |M_ij - conj(M_ji)| <= tol."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True iff max |M_ij - conj(M_ji)| <= DEFAULT_TOL."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL)
 
 
 def partial_trace(m: np.ndarray, dim1: int, dim2: int, which: str) -> np.ndarray:
@@ -47,30 +47,30 @@ def partial_trace(m: np.ndarray, dim1: int, dim2: int, which: str) -> np.ndarray
     raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
-def herm_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns) with h = V diag(w) V†.
     """
     h = np.asarray(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return w, v
 
 
-def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix h has min eigenvalue >= -tol."""
-    w, _ = herm_eig(h, tol)
-    return bool(w[0] >= -tol)
+def psd_check(h: np.ndarray) -> bool:
+    """True iff the Hermitian matrix h has min eigenvalue >= -DEFAULT_TOL."""
+    w, _ = herm_eig(h)
+    return bool(w[0] >= -DEFAULT_TOL)
 
 
-def inv_sqrt_psd(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
     """Inverse square root S of a strictly positive matrix: S h S = Id.
 
-    Raises on singular or indefinite input (min eigenvalue < tol).
+    Raises on singular or indefinite input (min eigenvalue < DEFAULT_TOL).
     """
-    w, v = herm_eig(h, tol)
-    if w[0] < tol:
+    w, v = herm_eig(h)
+    if w[0] < DEFAULT_TOL:
         raise ValueError(f"matrix is not strictly positive (min eigenvalue {w[0]:.3e})")
     return (v / np.sqrt(w)) @ v.conj().T

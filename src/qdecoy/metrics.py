@@ -20,8 +20,8 @@ oracles for `verify` and the tests:
   amplitude <phi|A_r|phi> is vec(A_r) . (conj(phi) ⊗ phi), so a block of
   states costs one (K, n^2) @ (n^2, B) product, with B bounded by a byte cap;
 - the linear functionals of the attack's state operator $: G is a trace
-  against the block-diagonal operator € built from the guess table
-  (estimation_fidelity_functional), F = Tr(L $) for a fixed n^2 x n^2
+  against the block-diagonal operator € built from the per-outcome guesses
+  j_(r) (estimation_fidelity_functional), F = Tr(L $) for a fixed n^2 x n^2
   matrix L (pound_matrix, induced_fidelity_functional);
 - for attacks with diagonal Kraus operators, the spectral sums
   (spectral_quantities), with G = g/n and D = 1/2 - f/(2n^2) exactly.
@@ -29,7 +29,6 @@ oracles for `verify` and the tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,21 +48,13 @@ _DIAGONAL_TOL = 1e-10
 _ORACLE_BLOCK_BYTES = 16 * 2**20
 
 
-@dataclass(frozen=True)
-class GuessTable:
-    """Per-outcome best guesses: index j_(r) and its weight <j|A_r†A_r|j>."""
-
-    guess: np.ndarray
-    weight: np.ndarray
-
-
-def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, GuessTable]:
-    """G from the definition: average the best diagonal weight per outcome."""
+def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, np.ndarray]:
+    """G from the definition, the mean best diagonal weight per outcome, and each guess j_(r)."""
     a = m.ops
     d = np.einsum("rij,rij->rj", a.conj(), a).real  # d[r, j] = <j|A_r†A_r|j>
     guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - _TIE, axis=1)
     weights = d[np.arange(len(d)), guesses]
-    return float(weights.sum() / m.dim), GuessTable(guess=guesses, weight=weights)
+    return float(weights.sum() / m.dim), guesses
 
 
 def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
@@ -73,9 +64,9 @@ def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
     outcome to the squared vec components at input index j_(r).
     """
     n = m.dim
-    _, table = estimation_fidelity(m)
-    vecs = m.ops.reshape(len(table.guess), n * n)
-    idx = np.arange(n) * n + table.guess[:, None]  # vec index (i, j_(r)) per outcome
+    _, guesses = estimation_fidelity(m)
+    vecs = m.ops.reshape(len(guesses), n * n)
+    idx = np.arange(n) * n + guesses[:, None]  # vec index (i, j_(r)) per outcome
     return float(np.sum(np.abs(np.take_along_axis(vecs, idx, axis=1)) ** 2) / n)
 
 

@@ -12,7 +12,8 @@ g_hat estimates the eavesdropper's guess success rate on message trials;
 d_hat estimates the receiver's detection rate on decoy trials. By default the
 detection score uses the exact conditional probability per trial (half the
 variance of sampling the receiver's bit; identical in expectation); pass
-sample_bob=True to sample it.
+sample_bob=True to sample it. An attack whose outcome probabilities for a sent
+state sum further than DEFAULT_TOL from 1 is rejected before any draw.
 
 Cost: the per-state tables and their CDFs are O(n^2 K), built once per run
 whatever the shot count; the outcomes of all message trials, then of all
@@ -29,16 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import GeneralizedMeasurement
-from .linalg import check_dim
+from .linalg import DEFAULT_TOL, check_dim
 from .metrics import decoy_amplitudes, estimation_fidelity, pairing_fidelity
 
 #: conditional probabilities within this of 0 or 1 are physically exact events
 #: reported off by float rounding (decoy amplitudes carry 1/sqrt(2) factors)
 _SNAP = 1e-12
-
-#: an attack whose outcome probabilities for some sent state sum further than
-#: this from 1 is not complete and is rejected
-_COMPLETE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,20 +65,6 @@ class SimReport:
     d_within_4se: bool | None
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Full audit of a single trial: every intermediate probability."""
-
-    kind: str
-    sent: tuple
-    outcome_probs: tuple
-    outcome: int
-    guess: int | None
-    guess_correct: bool | None
-    intact_prob: float | None
-    bob_outcome: str | None
-
-
 def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-state outcome tables: p_msg[j, r], p_decoy[s, r], amp[s, r].
 
@@ -105,7 +88,7 @@ def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.
 
 def _check_complete(rows: np.ndarray, what: str) -> None:
     worst = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
-    if worst > _COMPLETE_TOL:
+    if worst > DEFAULT_TOL:
         raise ValueError(
             f"outcome probabilities over {what} sum off by {worst:.3e}; the attack is not complete"
         )
@@ -184,7 +167,7 @@ def run_protocol(
     p_msg, p_decoy, amp = _pair_tables(attack)
     _check_complete(p_msg, "message words")
     _check_complete(p_decoy, "decoys")
-    g_analytic, table = estimation_fidelity(attack)
+    g_analytic, guesses = estimation_fidelity(attack)
     d_analytic = 1.0 - pairing_fidelity(amp)
 
     words, u_msg, pairs, u_dec, u_bob = _draw_trials(
@@ -197,7 +180,7 @@ def run_protocol(
     n_msg = words.size
     if n_msg:
         r = _sample_outcomes(p_msg, words, u_msg)
-        hits = table.guess[r] == words
+        hits = guesses[r] == words
         g_hat = float(np.mean(hits))
         g_se = float(np.sqrt(g_hat * (1.0 - g_hat) / n_msg))
         g_flag = bool(abs(g_hat - g_analytic) <= 4.0 * g_se)
@@ -233,63 +216,4 @@ def run_protocol(
         d_se=d_se,
         d_analytic=float(d_analytic),
         d_within_4se=d_flag,
-    )
-
-
-def trial_trace(n: int, attack: GeneralizedMeasurement, trial_spec: tuple, seed: int = 0) -> TrialRecord:
-    """Run a single fully audited trial.
-
-    trial_spec is ("message", j) or ("decoy", j, k). The record carries the
-    complete outcome distribution for the sent state, the sampled outcome, the
-    eavesdropper's guess on message trials, and the receiver's conditional
-    intact probability and sampled verdict on decoy trials.
-    """
-    if attack.dim != n:
-        raise ValueError(f"attack dimension {attack.dim} != n = {n}")
-    p_msg, p_decoy, amp = _pair_tables(attack)
-    _, table = estimation_fidelity(attack)
-    rng = np.random.default_rng(seed)
-
-    if trial_spec[0] == "message":
-        _, j = trial_spec
-        if not 0 <= j < n:
-            raise ValueError(f"basis index {j} out of range")
-        probs = p_msg[j]
-    elif trial_spec[0] == "decoy":
-        _, j, k = trial_spec
-        if not (0 <= j < n and 0 <= k < n):
-            raise ValueError(f"pair index ({j},{k}) out of range")
-        probs = p_decoy[j * n + k]
-    else:
-        raise ValueError(f"unknown trial kind {trial_spec[0]!r}")
-
-    _check_complete(probs[None, :], "the sent state")
-    r = int(_sample_outcomes(probs[None, :], np.array([0]), rng.random(1))[0])
-
-    if trial_spec[0] == "message":
-        guess = int(table.guess[r])
-        return TrialRecord(
-            kind="message",
-            sent=(j,),
-            outcome_probs=tuple(float(p) for p in probs),
-            outcome=r,
-            guess=guess,
-            guess_correct=bool(guess == j),
-            intact_prob=None,
-            bob_outcome=None,
-        )
-
-    p_r = float(probs[r])
-    intact = abs(amp[j * n + k, r]) ** 2 / p_r if p_r > 0 else 1.0
-    intact = float(_snap_unit(np.array([intact]))[0])
-    verdict = "intact" if rng.random() < intact else "tamper"
-    return TrialRecord(
-        kind="decoy",
-        sent=(j, k),
-        outcome_probs=tuple(float(p) for p in probs),
-        outcome=r,
-        guess=None,
-        guess_correct=None,
-        intact_prob=intact,
-        bob_outcome=verdict,
     )

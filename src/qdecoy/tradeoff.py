@@ -76,8 +76,8 @@ def disturbance_bound(g: float, n: int) -> float:
     return 0.5 - (np.sqrt(g) + np.sqrt((n - 1) * (1.0 - g))) ** 2 / (2 * n)
 
 
-def attack_point(m: GeneralizedMeasurement, source: str | None = None) -> TradeoffPoint:
-    """Evaluate an attack to a TradeoffPoint with the O(K n^2) evaluator."""
+def attack_point(m: GeneralizedMeasurement) -> TradeoffPoint:
+    """Evaluate an attack, sourced by its descriptor, with the O(K n^2) evaluator."""
     n = m.dim
     g, _ = estimation_fidelity(m)
     d = 1.0 - induced_fidelity_closed(m.ops)
@@ -92,7 +92,7 @@ def attack_point(m: GeneralizedMeasurement, source: str | None = None) -> Tradeo
         d=float(d),
         bound=float(b),
         margin=float(d - b),
-        source=source if source is not None else m.descriptor,
+        source=m.descriptor,
     )
 
 
@@ -225,7 +225,7 @@ def _constraints(n: int, g_target: float) -> list[dict]:
     ]
 
 
-def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) -> np.ndarray | None:
+def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) -> np.ndarray:
     """One SLSQP run from a random feasible-ish start; returns the raw grid."""
     from scipy import optimize  # imported here: only the search needs scipy
 
@@ -276,14 +276,12 @@ def optimize_attack(
         # unit row norms cap every diagonal entry at 1, so sum a_rr^2 = n has
         # exactly one solution: the full readout grid a = Id
         m = replace(projective_attack(n), descriptor=source)
-        return attack_point(m, source=source), m
+        return attack_point(m), m
 
     best: tuple[float, np.ndarray] | None = None
     bound = disturbance_bound(g_target, n)
     for k in range(restarts):
         raw = _search_once(n, g_target, iters, np.random.default_rng([seed, k]))
-        if raw is None:
-            continue
         a = _polish(raw, n, g_target)
         if a is None:
             continue
@@ -301,4 +299,4 @@ def optimize_attack(
         raise RuntimeError(f"no feasible candidate found at (n={n}, g={g_target})")
     a = best[1]
     m = replace(diagonal_attack(a.T), descriptor=source)
-    return attack_point(m, source=source), m
+    return attack_point(m), m

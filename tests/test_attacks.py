@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecoy import attacks
-from qdecoy.choi import mat_to_vec
 from qdecoy.linalg import inv_sqrt_psd
 
 
 def _coeff_norm_sq(m):
-    return sum(float(np.sum(np.abs(mat_to_vec(op)) ** 2)) for op in m.ops)
+    return sum(float(np.sum(np.abs(op.reshape(-1)) ** 2)) for op in m.ops)
 
 
 class TestFromKraus:
@@ -281,6 +280,16 @@ class TestDiagonalAttack:
         with pytest.raises(ValueError):
             attacks.diagonal_attack([])
 
+    def test_completeness_tolerance_is_default_tol(self):
+        # level 1's outcome weights sum to 1 + excess: within DEFAULT_TOL = 1e-9 it is accepted
+        for excess, ok in ((5e-10, True), (2e-9, False)):
+            table = [[np.sqrt(0.3), np.sqrt(0.5)], [np.sqrt(0.7), np.sqrt(0.5 + excess)]]
+            if ok:
+                assert len(attacks.diagonal_attack(table).ops) == 2
+            else:
+                with pytest.raises(ValueError, match="completeness violated"):
+                    attacks.diagonal_attack(table)
+
 
 class TestDescriptors:
     def test_constructor_descriptors_parse_back(self):
@@ -301,6 +310,11 @@ class TestDescriptors:
         assert attacks.parse_descriptor("optimal(n=4,g=0.5)").dim == 4
         assert attacks.parse_descriptor("prob(n=4, p=0.3)").dim == 4
         assert len(attacks.parse_descriptor("random(n=2,k=16,seed=7)").ops) == 16
+
+    def test_repeated_argument_rejected(self):
+        for text in ("optimal(n=4,g=0.5,g=0.7)", "random(n=3,k=4,k=5,seed=1)", "identity(n=2, n=2)"):
+            with pytest.raises(ValueError, match="repeated argument"):
+                attacks.parse_descriptor(text)
 
     def test_malformed_descriptors_rejected(self):
         bad = [

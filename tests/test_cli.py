@@ -215,6 +215,13 @@ class TestSimulate:
         assert main(["simulate", "--attack", "identity(n=2)"]) == 2
         capsys.readouterr()
 
+    def test_repeated_descriptor_argument(self, capsys):
+        for text in ("optimal(n=4,g=0.5,g=0.7)", "random(n=3,k=4,k=5,seed=1)"):
+            assert main(["simulate", "--attack", text, "--seed", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "repeated argument" in captured.err
+
     def test_runtime_failure_exits_one(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("boom")
@@ -293,6 +300,43 @@ class TestParser:
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "3", "--trials", "2"],
+            ["simulate", "--attack", "identity(n=2)", "--shots", "10"],
+            ["optimize", "--n", "3", "--g", "0.6", "--restarts", "1"],
+        ],
+        ids=["verify", "simulate", "optimize"],
+    )
+    def test_negative_seed(self, capsys, argv):
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+
+
+class TestOutput:
+    _COMMANDS = {
+        "curve": ["curve", "--n", "3", "--points", "4"],
+        "simulate": ["simulate", "--attack", "identity(n=2)", "--shots", "10", "--seed", "0"],
+        "optimize": ["optimize", "--n", "3", "--g", "1", "--seed", "0"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/out.txt", "No such file or directory"), ("taken", "Is a directory")],
+    )
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, command, target, reason):
+        (tmp_path / "taken").mkdir()
+        path = tmp_path / target
+        assert main(self._COMMANDS[command] + ["--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+        assert not list(tmp_path.rglob(".qdecoy-tmp-*"))
 
 
 class TestStartup:

@@ -208,6 +208,13 @@ class TestInvSqrtPsd:
         with pytest.raises(ValueError):
             linalg.inv_sqrt_psd(np.diag([1.0, -1.0]))
 
+    def test_positivity_threshold_is_default_tol(self):
+        # the smallest eigenvalue must reach DEFAULT_TOL = 1e-9
+        with pytest.raises(ValueError, match="not strictly positive"):
+            linalg.inv_sqrt_psd(np.diag([1.0, 5e-10]))
+        s = linalg.inv_sqrt_psd(np.diag([1.0, 2e-9]))
+        npt.assert_allclose(s @ np.diag([1.0, 2e-9]) @ s, np.eye(2), atol=1e-12)
+
 
 class TestIsHermitian:
     def test_accepts_hermitian_within_tolerance(self):

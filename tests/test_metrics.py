@@ -17,7 +17,7 @@ from qdecoy.attacks import (
     projective_attack,
     random_attack,
 )
-from qdecoy.choi import apply_channel, choi_of_kraus, mat_to_vec
+from qdecoy.choi import apply_channel, choi_of_kraus
 from qdecoy.ensembles import Ensemble, decoy_ket, pairing_ensemble
 from qdecoy import metrics
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
@@ -120,20 +120,28 @@ def _guesses_by_loop(m):
     return np.array(guesses), np.array(weights)
 
 
+def _guess_weights(m, guesses):
+    """d[r, j_(r)] = <j_(r)|A_r†A_r|j_(r)>: each outcome's diagonal weight at its guess."""
+    d = np.einsum("rij,rij->rj", m.ops.conj(), m.ops).real
+    return d[np.arange(len(d)), guesses]
+
+
 class TestEstimationFidelity:
     def test_identity_guesses_blindly(self):
         for n in range(2, 7):
-            g, table = estimation_fidelity(identity_attack(n))
+            m = identity_attack(n)
+            g, guesses = estimation_fidelity(m)
             assert g == 1.0 / n
-            assert_array_equal(table.guess, [0])
-            assert_array_equal(table.weight, [1.0])
+            assert_array_equal(guesses, [0])
+            assert_array_equal(_guess_weights(m, guesses), [1.0])
 
     def test_projective_guesses_perfectly(self):
         for n in (2, 3, 5):
-            g, table = estimation_fidelity(projective_attack(n))
+            m = projective_attack(n)
+            g, guesses = estimation_fidelity(m)
             assert g == 1.0
-            assert_array_equal(table.guess, np.arange(n))
-            assert_array_equal(table.weight, np.ones(n))
+            assert_array_equal(guesses, np.arange(n))
+            assert_array_equal(_guess_weights(m, guesses), np.ones(n))
 
     def test_optimal_family_hits_target(self):
         for n in (2, 4):
@@ -147,33 +155,33 @@ class TestEstimationFidelity:
 
     def test_tie_break_prefers_lowest_index(self):
         # exact tie: identity diagonal is constant
-        _, table = estimation_fidelity(identity_attack(3))
-        assert table.guess[0] == 0
+        _, guesses = estimation_fidelity(identity_attack(3))
+        assert guesses[0] == 0
         # near tie within 1e-12: index 1 is larger but index 0 still wins
         eps = 5e-13
         m = diagonal_attack([[np.sqrt(0.3), np.sqrt(0.3 + eps)], [np.sqrt(0.7), np.sqrt(0.7 - eps)]])
-        _, table = estimation_fidelity(m)
-        assert table.guess[0] == 0
-        assert_allclose(table.weight[0], 0.3, rtol=0, atol=1e-15)
+        _, guesses = estimation_fidelity(m)
+        assert guesses[0] == 0
+        assert_allclose(_guess_weights(m, guesses)[0], 0.3, rtol=0, atol=1e-15)
 
     def test_tie_rule_matches_per_outcome_loop(self):
         # identity and prob (its last outcome) tie over every index, optimal at
         # g = 1/n ties in every outcome, projective has one strict maximum each
         for n in (2, 3, 5):
             for m in _named_attacks(n) + [random_attack(n, seed=3)]:
-                g, table = estimation_fidelity(m)
+                g, got = estimation_fidelity(m)
                 guesses, weights = _guesses_by_loop(m)
-                assert_array_equal(table.guess, guesses)
-                assert_allclose(table.weight, weights, rtol=0, atol=1e-15)
+                assert_array_equal(got, guesses)
+                assert_allclose(_guess_weights(m, got), weights, rtol=0, atol=1e-15)
                 assert_allclose(g, weights.sum() / n, rtol=0, atol=1e-15)
 
     def test_random_attacks_stay_in_range(self):
         for seed in range(20):
             m = random_attack(3, seed=seed)
-            g, table = estimation_fidelity(m)
+            g, guesses = estimation_fidelity(m)
             assert 1.0 / 3 - 1e-12 <= g <= 1.0 + 1e-12
-            assert table.guess.shape == (len(m.ops),)
-            assert np.all(table.weight >= 0)
+            assert guesses.shape == (len(m.ops),)
+            assert np.all(_guess_weights(m, guesses) >= 0)
 
 
 class TestFunctionalEquivalence:
@@ -402,7 +410,7 @@ class TestFunctionalMatrices:
             eye = np.eye(k)
             w = np.zeros(m.dim * m.dim * k, dtype=complex)
             for i, op in enumerate(m.ops):
-                w += np.kron(mat_to_vec(op), eye[i])
+                w += np.kron(op.reshape(-1), eye[i])
             g_dense = float(np.einsum("ij,ji->", _dense_euro(m), np.outer(w, w.conj())).real)
             g_def, _ = estimation_fidelity(m)
             assert_allclose(g_dense, g_def, rtol=0, atol=1e-12)

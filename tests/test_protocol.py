@@ -21,7 +21,6 @@ from qdecoy.protocol import (
     _pair_tables,
     _sample_outcomes,
     run_protocol,
-    trial_trace,
 )
 
 
@@ -144,7 +143,6 @@ class TestSampler:
         np.testing.assert_array_equal(_sample_outcomes(table, rows, u), _sample_rows(table, rows, u))
 
     def test_single_row(self):
-        # the shape trial_trace passes: one row, one trial
         rng = np.random.default_rng(1)
         for m in (projective_attack(3), random_attack(4, seed=2), optimal_attack(2, 0.75)):
             p_msg, p_decoy, _ = _pair_tables(m)
@@ -287,6 +285,16 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="not complete"):
             run_protocol(2, bad, shots=10, seed=0)
 
+    def test_completeness_tolerance_is_default_tol(self):
+        # level 0's outcome probabilities sum to 1 + excess: within DEFAULT_TOL = 1e-9 it runs
+        for excess, ok in ((5e-10, True), (2e-9, False)):
+            m = GeneralizedMeasurement([np.diag([np.sqrt(1.0 + excess), 1.0]).astype(complex)])
+            if ok:
+                assert run_protocol(2, m, shots=10, seed=0).shots == 10
+            else:
+                with pytest.raises(ValueError, match="not complete"):
+                    run_protocol(2, m, shots=10, seed=0)
+
     def test_pair_tables_match_decoy_states(self):
         # every table entry from its definition on the decoy ket
         for m in (random_attack(3, outcomes=4, seed=2), probabilistic_attack(3, 0.3)):
@@ -313,63 +321,3 @@ class TestRunProtocol:
             run_protocol(2, m, shots=10, decoy_fraction=1.5)
         with pytest.raises(ValueError):
             run_protocol(2, m, shots=10, decoy_fraction=-0.1)
-
-
-class TestTrialTrace:
-    def test_identity_decoy_always_intact(self):
-        for seed in range(5):
-            rec = trial_trace(2, identity_attack(2), ("decoy", 0, 1), seed=seed)
-            assert rec.kind == "decoy"
-            assert rec.sent == (0, 1)
-            assert rec.outcome_probs == (1.0,)
-            assert rec.intact_prob == 1.0
-            assert rec.bob_outcome == "intact"
-            assert rec.guess is None
-
-    def test_projective_decoy_fifty_fifty(self):
-        rec = trial_trace(2, projective_attack(2), ("decoy", 0, 1), seed=0)
-        assert_allclose(rec.outcome_probs, (0.5, 0.5), rtol=0, atol=1e-15)
-        assert rec.intact_prob == 0.5
-        assert rec.outcome in (0, 1)
-        verdicts = [
-            trial_trace(2, projective_attack(2), ("decoy", 0, 1), seed=s).bob_outcome
-            for s in range(200)
-        ]
-        tamper_rate = verdicts.count("tamper") / 200
-        assert 0.35 < tamper_rate < 0.65
-
-    def test_projective_message_is_read_exactly(self):
-        rec = trial_trace(3, projective_attack(3), ("message", 1), seed=4)
-        assert rec.kind == "message"
-        assert rec.sent == (1,)
-        assert rec.outcome == 1
-        assert rec.guess == 1
-        assert rec.guess_correct
-        assert rec.intact_prob is None
-        assert_allclose(rec.outcome_probs, (0.0, 1.0, 0.0), rtol=0, atol=1e-15)
-
-    def test_probabilities_sum_to_one(self):
-        rec = trial_trace(3, random_attack(3, seed=5), ("decoy", 2, 0), seed=1)
-        assert_allclose(sum(rec.outcome_probs), 1.0, rtol=0, atol=1e-9)
-
-    def test_deterministic(self):
-        m = random_attack(2, seed=9)
-        assert trial_trace(2, m, ("decoy", 1, 0), seed=3) == trial_trace(
-            2, m, ("decoy", 1, 0), seed=3
-        )
-
-    def test_malformed_specs(self):
-        m = identity_attack(2)
-        with pytest.raises(ValueError):
-            trial_trace(2, m, ("message", 5))
-        with pytest.raises(ValueError):
-            trial_trace(2, m, ("decoy", 0, 5))
-        with pytest.raises(ValueError):
-            trial_trace(2, m, ("noise", 0))
-        with pytest.raises(ValueError):
-            trial_trace(3, m, ("message", 0))
-
-    def test_incomplete_attack_rejected(self):
-        bad = GeneralizedMeasurement([0.9 * np.eye(2, dtype=complex)], descriptor="corrupt")
-        with pytest.raises(ValueError, match="not complete"):
-            trial_trace(2, bad, ("decoy", 0, 1))

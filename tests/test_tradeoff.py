@@ -82,7 +82,8 @@ class TestAttackPoint:
         assert_allclose(p.margin, 0.09150635094610965, rtol=0, atol=1e-12)
 
     def test_source_override(self):
-        p = attack_point(identity_attack(2), source="custom")
+        # the source is the attack's descriptor, so a relabeled attack carries its label
+        p = attack_point(replace(identity_attack(2), descriptor="custom"))
         assert p.source == "custom"
 
     def test_incomplete_attack_rejected(self):
@@ -163,8 +164,8 @@ class TestSweepRandom:
 
     @staticmethod
     def _margin_pinned_at(monkeypatch, margin):
-        def shifted(m, source=None):
-            p = attack_point(m, source)
+        def shifted(m):
+            p = attack_point(m)
             return replace(p, d=p.d - p.margin + margin, margin=margin)
 
         monkeypatch.setattr("qdecoy.tradeoff.attack_point", shifted)
