@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,14 +88,24 @@ def gram_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each operator in a (K, m, n) stack."""
-    return np.linalg.norm(a.reshape(a.shape[0], -1), axis=1)
+    """Frobenius norm of each operator in a complex (K, m, n) stack.
+
+    The squares are summed over a real view of each operator, so no array
+    the size of the stack is made.
+    """
+    parts = np.ascontiguousarray(a).reshape(len(a), -1).view(np.float64)
+    return np.sqrt(np.einsum("ri,ri->r", parts, parts))
 
 
 def from_kraus(ops) -> GeneralizedMeasurement:
-    """Validated measurement from a nonempty list of uniform square operators."""
-    m = GeneralizedMeasurement(ops)
-    m = replace(m, descriptor=f"custom(n={m.dim},k={len(m.ops)})")
+    """Validated measurement from a nonempty list of uniform square operators.
+
+    The descriptor is read off the stack's shape first, so the operators are
+    copied once, by the one construction.
+    """
+    a = np.asarray(ops, dtype=complex)
+    # a stack of the wrong shape gets no descriptor; the constructor rejects it
+    m = GeneralizedMeasurement(a, f"custom(n={a.shape[-1]},k={len(a)})" if a.ndim == 3 else "")
     m.validate()
     return m
 

@@ -48,7 +48,9 @@ from .tradeoff import (
     sweep_random,
 )
 
-#: exact functional evaluation materializes n^4 matrix entries; simulate is exempt
+#: exact functional evaluation materializes n^4 matrix entries. simulate is
+#: exempt: its O(n^2 K) tables, not --shots, set its cost, since it draws cell
+#: counts; nothing yet bounds those tables at large n
 _N_CAP = 64
 
 #: verify's largest accepted |D - bound| on the saturating family

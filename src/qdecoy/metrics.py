@@ -46,6 +46,9 @@ _DIAGONAL_TOL = 1e-10
 #: product to keep up with one outcome at a time when K = n; 16 MiB holds
 #: over 100 states up to n = 64 and K = n^2
 _ORACLE_BLOCK_BYTES = 16 * 2**20
+#: bytes of Kraus operators per block of outcomes in decoy_amplitudes; small
+#: blocks keep its temporaries in cache and out of the peak
+_AMP_BLOCK_BYTES = 128 * 2**10
 
 
 def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, np.ndarray]:
@@ -76,10 +79,20 @@ def decoy_amplitudes(a: np.ndarray) -> np.ndarray:
     With phi_jk = (|j> + i|k>)/sqrt(2) this is
     (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where the
     decoy is |j> itself.
+
+    The sum is written into the result a block of outcomes at a time, so
+    its temporaries hold _AMP_BLOCK_BYTES, not a (K, n, n) stack each; every
+    entry is the same complex expression whatever the block.
     """
     k, n, _ = a.shape
     diag = np.einsum("rjj->rj", a)
-    amp = 0.5 * (diag[:, :, None] + diag[:, None, :] + 1j * (a - a.transpose(0, 2, 1)))
+    amp = np.empty((k, n, n), dtype=complex)
+    step = max(1, _AMP_BLOCK_BYTES // (16 * n * n))
+    for lo in range(0, k, step):
+        d, blk = diag[lo : lo + step], a[lo : lo + step]
+        np.multiply(
+            0.5, d[:, :, None] + d[:, None, :] + 1j * (blk - blk.transpose(0, 2, 1)), out=amp[lo : lo + step]
+        )
     idx = np.arange(n)
     amp[:, idx, idx] = diag
     return amp.reshape(k, n * n).T

@@ -15,12 +15,18 @@ variance of sampling the receiver's bit; identical in expectation); pass
 sample_bob=True to sample it. An attack whose outcome probabilities for a sent
 state sum further than DEFAULT_TOL from 1 is rejected before any draw.
 
-Cost: the per-state tables and their CDFs are O(n^2 K), built once per run
-whatever the shot count; the outcomes of all message trials, then of all
-decoy trials, come from one vectorized binary search each over the flat table
-of CDFs, log2(K) steps. Each random draw is cut down to the trials that use
-it as soon as it is made, so beyond the tables a run holds about 49 bytes per
-shot (tracemalloc, 1e5 to 4e5 shots at n = 16), never a shots x K array.
+Cost: a report depends only on how many trials fall on each (sent state,
+outcome) cell, so a run draws those counts instead of sampling every shot:
+one binomial for the number of decoy trials, one multinomial each for the
+trials per word and per pair, then each row's outcome counts. A row with at
+least K trials draws them with one multinomial over the row; each trial of a
+sparser row draws a uniform and runs a vectorized binary search in the row's
+CDF, log2(K) steps. g_hat and d_hat are sums over the occupied cells,
+weighted by their counts. The per-state tables are O(n^2 K) and built once.
+A sparse row holds fewer than K trials, so sampling costs O(n^2 K) at any
+shot count, and the rows go in blocks of about _BLOCK_BYTES, so beyond the
+tables memory does not grow with shots. The block layout is part of the
+seeded stream.
 """
 
 from __future__ import annotations
@@ -36,6 +42,18 @@ from .metrics import decoy_amplitudes, estimation_fidelity, pairing_fidelity
 #: conditional probabilities within this of 0 or 1 are physically exact events
 #: reported off by float rounding (decoy amplitudes carry 1/sqrt(2) factors)
 _SNAP = 1e-12
+#: a row whose trials number at least this many per outcome draws its outcome
+#: counts with one multinomial over the row; fewer trials each run the binary
+#: search. On random(n) attacks (K = n^2, one BLAS thread) the multinomial
+#: overtook the search at about 3 K trials at n = 8, 1.5 K at n = 16 and
+#: 0.4 K at n = 32
+_DENSE_TRIALS_PER_OUTCOME = 1
+#: bytes a block of table rows may use while it is sampled and scored
+_BLOCK_BYTES = 2 << 20
+#: bytes held per searched trial or filled cell while a block is scored
+_CELL_BYTES = 128
+#: trial counts are 64-bit integers
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -72,17 +90,20 @@ def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.
     forwarded amplitude <phi_jk|A_r|phi_jk>. With G_r = A_r†A_r, the decoy
     probability is (G_jj + G_kk)/2 - Im G_jk, and G_jj on the diagonal.
     Everything is O(K n^2), so the simulator never materializes ensembles or
-    n^4 functional matrices.
+    n^4 functional matrices. Each (K, n, n) intermediate is dropped as soon as
+    the next is built, so at most two of them are held at a time.
     """
     a = m.ops
     k, n, _ = a.shape
     gram = a.conj().transpose(0, 2, 1) @ a
     dg = np.einsum("rjj->rj", gram).real
     pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
+    del gram
     idx = np.arange(n)
     pd[:, idx, idx] = dg
     p_msg = np.ascontiguousarray(dg.T)
     p_decoy = np.ascontiguousarray(pd.reshape(k, n * n).T)
+    del pd
     return p_msg, p_decoy, decoy_amplitudes(a)
 
 
@@ -100,6 +121,13 @@ def _snap_unit(q: np.ndarray) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
+def _normalized(table: np.ndarray) -> np.ndarray:
+    """A fresh copy of `table` with entries clamped at 0 and each row summing to 1."""
+    p = np.maximum(table, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def _sample_outcomes(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Draw one outcome per trial: trial i samples row rows[i] of `table` with uniform u[i].
 
@@ -111,8 +139,7 @@ def _sample_outcomes(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.n
     below 1 is clamped to its last outcome.
     """
     k = table.shape[1]
-    cdf = np.maximum(table, 0.0)
-    cdf /= cdf.sum(axis=1, keepdims=True)
+    cdf = _normalized(table)
     flat = np.cumsum(cdf, axis=1, out=cdf).ravel()
     base = np.multiply(rows, k, dtype=np.intp)
     pos = base.copy()
@@ -127,24 +154,58 @@ def _sample_outcomes(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.n
     return np.minimum(pos, k - 1, out=pos)
 
 
-def _draw_trials(
-    rng: np.random.Generator, n: int, shots: int, decoy_fraction: float, sample_bob: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The run's draws, each cut down to the trials that use it as soon as it is made.
+def _multinomial_rows(rng: np.random.Generator, trials: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Outcome counts of `trials[i]` trials over row i of the normalized (R, K) `p`, which it reorders.
 
-    The draws keep their order and sizes, so the seeded stream is fixed: trial
-    type, message word, decoy pair, outcome uniform and, last, the receiver's
-    uniform (drawn only when it is sampled). Returns the message trials' words
-    and outcome uniforms, then the decoy trials' pairs, outcome uniforms and
-    receiver uniforms (or None).
+    numpy's multinomial is a chain of binomials that hands whatever is left
+    after outcome K - 2 to outcome K - 1, so rounding could put a trial on a
+    last outcome of probability zero. Each row's likeliest outcome is swapped
+    into the last place for the draw, and its count swapped back after.
     """
-    is_decoy = rng.random(shots) < decoy_fraction
-    msg, dec = np.flatnonzero(~is_decoy), np.flatnonzero(is_decoy)
-    words = rng.integers(0, n, size=shots).take(msg)
-    pairs = rng.integers(0, n * n, size=shots).take(dec)
-    u_out = rng.random(shots)
-    u_bob = rng.random(shots).take(dec) if sample_bob else None
-    return words, u_out.take(msg), pairs, u_out.take(dec), u_bob
+    i = np.arange(len(p))
+    top = p.argmax(axis=1)
+    p[i, top], p[i, -1] = p[i, -1], p[i, top]
+    got = rng.multinomial(trials, p)
+    got[i, top], got[i, -1] = got[i, -1], got[i, top]
+    return got
+
+
+def _blocks(trials: np.ndarray, k: int):
+    """Row ranges [lo, hi) of a (len(trials), k) table, each using about _BLOCK_BYTES while sampled.
+
+    A row costs its normalized copy, 8 k bytes, plus _CELL_BYTES for each
+    trial it searches or cell it fills, of which there are at most
+    _DENSE_TRIALS_PER_OUTCOME * k.
+    """
+    cost = np.cumsum(8 * k + _CELL_BYTES * np.minimum(trials, _DENSE_TRIALS_PER_OUTCOME * k))
+    cuts = np.searchsorted(cost, np.arange(_BLOCK_BYTES, cost[-1], _BLOCK_BYTES), side="right")
+    edges = [0, *cuts.tolist(), len(trials)]  # a row dearer than a block leaves an empty range
+    return zip(edges[:-1], edges[1:])
+
+
+def _cells(rng: np.random.Generator, table: np.ndarray, trials: np.ndarray):
+    """Yield (rows, outcomes, counts) of the occupied cells of `table`, one block of rows at a time.
+
+    trials[s] trials sample row s. A row with at least _DENSE_TRIALS_PER_OUTCOME
+    trials per outcome gets its counts from one multinomial over the row; the
+    trials of the other rows each draw a uniform and go through the binary
+    search, as cells of count 1. Beyond the tables a block holds about
+    _BLOCK_BYTES (`_blocks`), whatever the shot count.
+    """
+    k = table.shape[1]
+    for lo, hi in _blocks(trials, k):
+        c = trials[lo:hi]
+        if not c.any():
+            continue
+        is_dense = c >= _DENSE_TRIALS_PER_OUTCOME * k
+        dense = np.flatnonzero(is_dense)
+        if dense.size:
+            got = _multinomial_rows(rng, c[dense], _normalized(table[lo + dense]))
+            i, r = np.nonzero(got)
+            yield lo + dense[i], r, got[i, r]
+        rows = np.repeat(np.arange(hi - lo), np.where(is_dense, 0, c))
+        if rows.size:
+            yield lo + rows, _sample_outcomes(table[lo:hi], rows, rng.random(rows.size)), 1
 
 
 def run_protocol(
@@ -159,8 +220,8 @@ def run_protocol(
     check_dim(n)
     if attack.dim != n:
         raise ValueError(f"attack dimension {attack.dim} != n = {n}")
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {_MAX_SHOTS}], got {shots}")
     if not 0.0 <= decoy_fraction <= 1.0:
         raise ValueError(f"decoy fraction {decoy_fraction} outside [0, 1]")
 
@@ -170,32 +231,37 @@ def run_protocol(
     g_analytic, guesses = estimation_fidelity(attack)
     d_analytic = 1.0 - pairing_fidelity(amp)
 
-    words, u_msg, pairs, u_dec, u_bob = _draw_trials(
-        np.random.default_rng(seed), n, shots, decoy_fraction, sample_bob
-    )
+    rng = np.random.default_rng(seed)
+    n_dec = int(rng.binomial(shots, decoy_fraction))
+    n_msg = shots - n_dec
+    words = rng.multinomial(n_msg, np.full(n, 1.0 / n))
+    pairs = rng.multinomial(n_dec, np.full(n * n, 1.0 / (n * n)))
 
     g_hat = g_se = g_flag = None
     d_hat = d_se = d_flag = None
 
-    n_msg = words.size
     if n_msg:
-        r = _sample_outcomes(p_msg, words, u_msg)
-        hits = guesses[r] == words
-        g_hat = float(np.mean(hits))
+        hits = 0
+        for rows, r, count in _cells(rng, p_msg, words):
+            hits += int(np.sum(count * (guesses[r] == rows)))
+        g_hat = hits / n_msg
         g_se = float(np.sqrt(g_hat * (1.0 - g_hat) / n_msg))
         g_flag = bool(abs(g_hat - g_analytic) <= 4.0 * g_se)
 
-    n_dec = pairs.size
     if n_dec:
-        r = _sample_outcomes(p_decoy, pairs, u_dec)
-        p_r = p_decoy.ravel().take(pairs * p_decoy.shape[1] + r)
-        # amp is the transpose of a C-ordered (K, n^2) array: index that flat layout, not a copy
-        a_r = amp.T.ravel().take(r * amp.shape[0] + pairs)
-        intact = np.where(p_r > 0, np.abs(a_r) ** 2 / np.where(p_r > 0, p_r, 1.0), 1.0)
-        detect = _snap_unit(1.0 - intact)
-        if sample_bob:
-            detect = (u_bob < detect).astype(float)
-        d_hat = float(np.mean(detect))
+        k = p_decoy.shape[1]
+        detected = 0
+        for rows, r, count in _cells(rng, p_decoy, pairs):
+            p_r = p_decoy.ravel().take(rows * k + r)
+            # amp is the transpose of a C-ordered (K, n^2) array: index that flat layout, not a copy
+            a_r = amp.T.ravel().take(r * amp.shape[0] + rows)
+            intact = np.where(p_r > 0, np.abs(a_r) ** 2 / np.where(p_r > 0, p_r, 1.0), 1.0)
+            detect = _snap_unit(1.0 - intact)
+            if sample_bob:
+                detected += int(np.sum(rng.binomial(count, detect)))
+            else:
+                detected += float(np.sum(count * detect))
+        d_hat = detected / n_dec
         d_se = float(np.sqrt(d_hat * (1.0 - d_hat) / n_dec))
         d_flag = bool(abs(d_hat - d_analytic) <= 4.0 * d_se)
 

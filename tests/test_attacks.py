@@ -41,6 +41,27 @@ class TestFromKraus:
         with pytest.raises(ValueError):
             attacks.from_kraus([np.ones((2, 3))])
 
+    def test_operators_copied_once(self):
+        # a 16 MiB stack: the one construction copies it, and validation adds
+        # only its 1 MiB Gram blocks and a norm per outcome
+        ops = attacks.random_attack(32, seed=1).ops.copy()
+        tracemalloc.start()
+        try:
+            m = attacks.from_kraus(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.descriptor == "custom(n=32,k=1024)"
+        assert peak < 1.1 * ops.nbytes
+
+    def test_norms_match_linalg_norm(self):
+        for m in (attacks.random_attack(3, outcomes=7, seed=2), attacks.projective_attack(4)):
+            want = np.linalg.norm(m.ops.reshape(len(m.ops), -1), axis=1)
+            npt.assert_allclose(attacks._norms(m.ops), want, rtol=1e-15, atol=0)
+        npt.assert_array_equal(attacks._norms(np.zeros((2, 3, 3), dtype=complex)), [0.0, 0.0])
+        # a strided view is read as its copy
+        npt.assert_allclose(attacks._norms(np.eye(4, dtype=complex)[None, ::2, ::2]), [np.sqrt(2.0)])
+
     def test_projective_set_coefficient_norm(self):
         n = 4
         eye = np.eye(n, dtype=complex)

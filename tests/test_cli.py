@@ -184,6 +184,12 @@ class TestSimulate:
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["d_hat"] == 0.0
 
+    def test_shot_counts_beyond_64_bits_fail_in_one_line(self, capsys):
+        args = ["simulate", "--attack", "identity(n=2)", "--shots", str(10**20), "--seed", "0"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots must lie in") and err.count("\n") == 1
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "report.json"
         args = [

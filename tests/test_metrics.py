@@ -226,6 +226,38 @@ class TestClosedForm:
                     want = [ket.conj() @ op @ ket for op in m.ops]
                     assert_allclose(amp[j * n + k], want, rtol=0, atol=1e-15)
 
+    @staticmethod
+    def _reference_amplitudes(a):
+        """The amplitudes as one complex expression, the form `decoy_amplitudes` must round like."""
+        k, n, _ = a.shape
+        diag = np.einsum("rjj->rj", a)
+        amp = 0.5 * (diag[:, :, None] + diag[:, None, :] + 1j * (a - a.transpose(0, 2, 1)))
+        idx = np.arange(n)
+        amp[:, idx, idx] = diag
+        return amp.reshape(k, n * n).T
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_amplitudes_equal_the_complex_expression(self, n):
+        for k in (1, n, n * n, n * n + 3):
+            a = random_attack(n, outcomes=k, seed=n + k).ops
+            assert_array_equal(decoy_amplitudes(a), self._reference_amplitudes(a))
+        for m in (optimal_attack(n, 0.6), projective_attack(n), identity_attack(n)):
+            assert_array_equal(decoy_amplitudes(m.ops), self._reference_amplitudes(m.ops))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_amplitudes_hold_no_stack_sized_temporary(self, n):
+        # the (K, n, n) result and a few block-sized temporaries; the complex
+        # expression over the whole stack peaks at 2.0 to 2.1 stacks
+        a = random_attack(n, seed=1).ops
+        decoy_amplitudes(a)
+        tracemalloc.start()
+        try:
+            decoy_amplitudes(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes + 4 * metrics._AMP_BLOCK_BYTES
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_three_routes_agree_on_random_attacks(self, n):
         pairing = pairing_ensemble(n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdecoy import protocol
 from qdecoy.attacks import (
     GeneralizedMeasurement,
     identity_attack,
@@ -18,6 +19,8 @@ from qdecoy.ensembles import pairing_ensemble
 from qdecoy.metrics import estimation_fidelity, induced_fidelity, induced_fidelity_closed
 from qdecoy.protocol import (
     SimReport,
+    _cells,
+    _multinomial_rows,
     _pair_tables,
     _sample_outcomes,
     run_protocol,
@@ -153,6 +156,119 @@ class TestSampler:
                     assert got[0] == _sample_rows(probs[None, :], np.array([0]), u)[0]
 
 
+def _row_counts(table, trials, seeds):
+    """Outcome counts per row of `table`, summed over one `_cells` pass per seed."""
+    total = np.zeros(table.shape, dtype=np.int64)
+    for seed in seeds:
+        for rows, r, count in _cells(np.random.default_rng(seed), table, trials):
+            np.add.at(total, (rows, r), count)
+    return total
+
+
+class TestCountSampler:
+    # row 0 is dense (40 trials per outcome), row 1 sparse (5 trials over K = 8), row 2 empty
+    TABLE = np.array(
+        [
+            [0.05, 0.1, 0.0, 0.2, 0.15, 0.3, 0.2, 0.0],
+            [0.3, 0.0, 0.05, 0.15, 0.1, 0.0, 0.25, 0.15],
+            [0.125] * 8,
+        ]
+    )
+    TRIALS = np.array([320, 5, 0])
+
+    def test_row_counts_follow_row_probabilities(self):
+        # chi-square over the outcomes of positive probability, summed over 300 fixed seeds
+        from scipy.stats import chi2
+
+        counts = _row_counts(self.TABLE, self.TRIALS, range(300))
+        assert counts[2].sum() == 0
+        for row in (0, 1):
+            p = self.TABLE[row]
+            assert counts[row].sum() == 300 * self.TRIALS[row]
+            assert np.all(counts[row][p == 0] == 0)
+            want = counts[row].sum() * p[p > 0]
+            stat = float(np.sum((counts[row][p > 0] - want) ** 2 / want))
+            assert chi2.sf(stat, df=int(np.count_nonzero(p)) - 1) > 1e-4, (row, stat)
+
+    def test_zero_probability_cells_never_filled_by_the_multinomial(self):
+        # zero runs at the head, in the middle and at the tail, where numpy's
+        # multinomial hands its remainder; row 0 sits at the threshold, K trials
+        table = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.25, 0.75, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0],
+                [1.0 / 3.0, 0.0, 1.0 / 3.0, 0.0, 1.0 / 3.0, 0.0, 0.0],
+                # numpy's chain leaves ~1e-12 of this row's mass after outcome 3
+                [1.42038203e-01, 1.69490369e-01, 6.88433428e-01, 3.79999702e-05, 0.0, 0.0, 0.0],
+            ]
+        )
+        trials = np.array([7, 10**6, 10**9, 999, 10**12, 10**18])
+        for seed in range(50):
+            p = table / table.sum(axis=1, keepdims=True)
+            got = _multinomial_rows(np.random.default_rng(seed), trials, p)
+            np.testing.assert_array_equal(got.sum(axis=1), trials)
+            assert np.all(got[table == 0] == 0)
+            placed = np.zeros(len(table), dtype=np.int64)
+            for rows, r, count in _cells(np.random.default_rng(seed), table, trials):
+                assert np.all(table[rows, r] > 0)
+                np.add.at(placed, rows, count)
+            np.testing.assert_array_equal(placed, trials)
+
+    def test_one_run_takes_both_row_paths(self, monkeypatch):
+        # at 1e5 shots and K = 256 the 16 message rows hold ~3125 trials each
+        # (multinomial) and the 256 decoy rows ~195 each (binary search)
+        calls = {"multinomial": 0, "search": 0}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(protocol, "_multinomial_rows", spy("multinomial", protocol._multinomial_rows))
+        monkeypatch.setattr(protocol, "_sample_outcomes", spy("search", protocol._sample_outcomes))
+        rep = run_protocol(16, random_attack(16, seed=1), 100000, seed=1)
+        assert calls["multinomial"] >= 1 and calls["search"] >= 1
+        assert rep.g_within_4se and rep.d_within_4se
+
+    @pytest.mark.parametrize("sample_bob", [False, True])
+    def test_z_scores_over_seeds(self, sample_bob):
+        # K = 128 at 3000 shots: ~94 trials per decoy row and ~375 per word, so
+        # the decoy rows go through the search and the words through the multinomial
+        m = random_attack(4, outcomes=128, seed=5)
+        zg, zd = [], []
+        for seed in range(240):
+            rep = run_protocol(4, m, 3000, seed=seed, sample_bob=sample_bob)
+            g, d = rep.g_analytic, rep.d_analytic
+            zg.append((rep.g_hat - g) / np.sqrt(g * (1 - g) / rep.message_trials))
+            zd.append((rep.d_hat - d) / np.sqrt(d * (1 - d) / rep.decoy_trials))
+        zg, zd = np.array(zg), np.array(zd)
+        # the mean of 240 unit-variance scores is within 4 / sqrt(240) = 0.26 of 0
+        assert abs(zg.mean()) < 0.26 and abs(zd.mean()) < 0.26
+        assert 0.8 < zg.std() < 1.2
+        if sample_bob:
+            assert 0.8 < zd.std() < 1.2
+        else:
+            # the exact conditional score has less variance than the receiver's bit
+            assert zd.std() < 0.9
+
+    def test_memory_does_not_grow_with_shots(self):
+        m = random_attack(16, seed=1)
+        run_protocol(16, m, 10, seed=0)
+        peaks = []
+        for shots in (10**5, 10**8):
+            tracemalloc.start()
+            try:
+                run_protocol(16, m, shots, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
+
+
 class TestRunProtocol:
     def test_identity_never_detected(self):
         rep = run_protocol(4, identity_attack(4), shots=20000, seed=3)
@@ -224,7 +340,7 @@ class TestRunProtocol:
                 assert_allclose(rep.d_analytic, d_closed, rtol=0, atol=1e-15)
 
     def test_seeded_report_pinned(self):
-        # recorded from the shots x K sampler this one replaced; the random stream is unchanged
+        # recorded from the count sampler (stream 0.2.0): dense message rows, sparse decoy rows
         rep = run_protocol(16, random_attack(16, seed=1), 100000, seed=1)
         assert rep == SimReport(
             n=16,
@@ -233,20 +349,21 @@ class TestRunProtocol:
             seed=1,
             attack_descriptor="random(n=16,k=256,seed=1)",
             sample_bob=False,
-            message_trials=49950,
-            decoy_trials=50050,
-            g_hat=0.09293293293293294,
-            g_se=0.0012990826278040132,
+            message_trials=50094,
+            decoy_trials=49906,
+            g_hat=0.09520102207849243,
+            g_se=0.0013113058553012335,
             g_analytic=0.09323157539571354,
             g_within_4se=True,
-            d_hat=0.9383213110897202,
-            d_se=0.0010753288951102895,
+            d_hat=0.9376076912342312,
+            d_se=0.0010826790364541808,
             d_analytic=0.937611419932862,
             d_within_4se=True,
         )
 
     def test_seeded_sampled_report_pinned(self):
-        # recorded from the per-row sampler: K = 27 is not a power of two, and Bob's bit is sampled
+        # recorded from the count sampler (stream 0.2.0): K = 27 is not a power of
+        # two, and Bob's bit is sampled
         rep = run_protocol(
             5, random_attack(5, outcomes=27, seed=3), 30000, decoy_fraction=0.3, seed=7, sample_bob=True
         )
@@ -257,14 +374,14 @@ class TestRunProtocol:
             seed=7,
             attack_descriptor="random(n=5,k=27,seed=3)",
             sample_bob=True,
-            message_trials=21038,
-            decoy_trials=8962,
-            g_hat=0.32336724023196123,
-            g_se=0.003224944871721891,
+            message_trials=21011,
+            decoy_trials=8989,
+            g_hat=0.3206415687021084,
+            g_se=0.0032198529332012134,
             g_analytic=0.3187250334289836,
             g_within_4se=True,
-            d_hat=0.8052889979915198,
-            d_se=0.004182815020775933,
+            d_hat=0.8037601512960285,
+            d_se=0.004188911118451177,
             d_analytic=0.8022734730006871,
             d_within_4se=True,
         )
@@ -317,6 +434,9 @@ class TestRunProtocol:
             run_protocol(3, m, shots=10)
         with pytest.raises(ValueError):
             run_protocol(2, m, shots=0)
+        with pytest.raises(ValueError, match="shots must lie in"):
+            run_protocol(2, m, shots=2**63)
+        assert run_protocol(2, m, shots=2**63 - 1).message_trials > 0
         with pytest.raises(ValueError):
             run_protocol(2, m, shots=10, decoy_fraction=1.5)
         with pytest.raises(ValueError):
