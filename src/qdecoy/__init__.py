@@ -41,14 +41,12 @@ from .attacks import (
 )
 from .metrics import (
     banaszek_bound,
-    beta_vector,
     decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
-    pound_matrix,
     spectral_quantities,
 )
 from .tradeoff import (
@@ -62,7 +60,7 @@ from .tradeoff import (
 )
 from .protocol import SimReport, run_protocol
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 __all__ = [
     "DEFAULT_TOL",
@@ -97,8 +95,6 @@ __all__ = [
     "induced_fidelity_functional",
     "spectral_quantities",
     "banaszek_bound",
-    "pound_matrix",
-    "beta_vector",
     "TradeoffPoint",
     "BoundViolation",
     "disturbance_bound",

@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 
 #: bytes of operator rows that completeness_residual conjugates at a time
 _GRAM_BLOCK_BYTES = 1 << 20
+#: completeness residual above which random_attack whitens its draw a second time
+_REWHITEN_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +182,10 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
 
     Draws `outcomes` (default n^2) complex Gaussian matrices B_r, forms
     S = sum B_r†B_r, and returns {B_r S^(-1/2)}. Deterministic per seed;
-    singular draws are retried on fresh substreams (at most 8).
+    singular draws are retried on fresh substreams (at most 8). An
+    ill-conditioned S (say, one nearly singular outcome) costs S^(-1/2) digits,
+    so a draw left more than _REWHITEN_TOL from completeness is whitened once
+    more by its now near-identity Gram sum, which brings it to rounding.
     """
     check_dim(n)
     k = n * n if outcomes is None else int(outcomes)
@@ -200,6 +205,9 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
         except ValueError:
             continue
         b = b @ s_inv_sqrt  # rebound, so the raw draw is freed before the attack copies it
+        s = gram_sum(b)
+        if np.max(np.abs(s - np.eye(n))) > _REWHITEN_TOL:
+            b = b @ inv_sqrt_psd(s)
         return _from_family(b, f"random(n={n},k={k},seed={seed})")
     raise ValueError(f"random draw not normalizable after 8 attempts (n={n}, k={k}, seed={seed})")
 

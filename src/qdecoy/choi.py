@@ -33,19 +33,24 @@ class ChoiState:
 def choi_of_kraus(kraus) -> ChoiState:
     """Build $ = sum_r vec(A_r) vec(A_r)† from a nonempty uniform Kraus set.
 
-    With the vec(A_r) as the rows of a (K, mn) matrix V, $ = V^T conj(V).
+    `kraus` is anything np.asarray turns into a complex (K, m, n) stack; a
+    complex C-ordered stack is used as it is. With the vec(A_r) as the rows
+    of the (K, mn) view V, $ = V^T conj(V), and conj(V) is the only copy.
     """
-    ops = [np.asarray(a, dtype=complex) for a in kraus]
-    if not ops:
+    try:
+        a = np.asarray(kraus, dtype=complex)
+    except ValueError:
+        raise ValueError("ragged Kraus set: the operators differ in shape") from None
+    if a.size == 0:
         raise ValueError("empty Kraus set")
-    m, n = ops[0].shape
-    ragged = next((a.shape for a in ops if a.shape != (m, n)), None)
-    if ragged is not None:
-        raise ValueError(f"ragged Kraus set: {ragged} vs ({m},{n})")
-    v = np.array(ops).reshape(len(ops), m * n)
-    if np.any(np.linalg.norm(v, axis=1) < ZERO_NORM):
+    if a.ndim != 3:
+        raise ValueError(f"Kraus set must be a (K, m, n) stack, got shape {a.shape}")
+    k, m, n = a.shape
+    v = a.reshape(k, m * n)
+    vc = v.conj()
+    if np.any(np.sqrt(np.einsum("ri,ri->r", vc, v).real) < ZERO_NORM):
         raise ValueError("zero Kraus operator")
-    return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ v.conj())
+    return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ vc)
 
 
 def apply_channel(choi: ChoiState, rho: np.ndarray) -> np.ndarray:

@@ -296,10 +296,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser, built by the first `main` call and reused by later in-process calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # verify, simulate and optimize take a seed; numpy's generators reject a negative one

@@ -21,15 +21,15 @@ oracles for `verify` and the tests:
   states costs one (K, n^2) @ (n^2, B) product, with B bounded by a byte cap;
 - the linear functionals of the attack's state operator $: G is a trace
   against the block-diagonal operator € built from the per-outcome guesses
-  j_(r) (estimation_fidelity_functional), F = Tr(L $) for a fixed n^2 x n^2
-  matrix L (pound_matrix, induced_fidelity_functional);
+  j_(r), which reduces to squared vec components, so $ is never built
+  (estimation_fidelity_functional); F = Tr(L $) for a fixed n^2 x n^2
+  operator L, whose O(n^2) nonzero entries are the only entries of $ the
+  trace reads (induced_fidelity_functional);
 - for attacks with diagonal Kraus operators, the spectral sums
   (spectral_quantities), with G = g/n and D = 1/2 - f/(2n^2) exactly.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,43 +133,25 @@ def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
     return total
 
 
-def beta_vector(n: int) -> np.ndarray:
-    """Maximally entangled unit vector (1/sqrt(n)) sum_j |jj>."""
-    beta = np.zeros(n * n)
-    beta[np.arange(n) * n + np.arange(n)] = 1.0 / np.sqrt(n)
-    return beta
+def induced_fidelity_functional(m: GeneralizedMeasurement) -> float:
+    """F = Tr(L $) with $ the attack's state operator, read from the O(n^2) entries L touches.
 
+    L is real and symmetric, so Tr(L $) = sum_ij L_ij Re $_ij. It is the sum
+    of 1/(2n) on each repeated index |jj><jj|, 1/(2n^2) on each |jj><kk|
+    (the rank-one block of the maximally entangled vector), and the 2x2
+    singlet block of weight 1/(2n^2) on each pair j < k:
 
-@lru_cache(maxsize=None)
-def pound_matrix(n: int) -> np.ndarray:
-    """The n^2 x n^2 operator L with F = Tr(L $) on the pairing ensemble.
-
-    L = (1/2n) P_rep + (1/2n) P_beta P_rep + (1/n^2) sum_{j<k} singlet
-    projectors on the nonrepeated subspace. All entries are real.
+        F = (1/2n) sum_j Re $[jj,jj] + (1/2n^2) sum_{j,k} Re $[jj,kk]
+            + (1/2n^2) sum_{j<k} Re($[jk,jk] + $[kj,kj] - $[jk,kj] - $[kj,jk]).
     """
-    rep = np.arange(n) * n + np.arange(n)
-    p_rep = np.zeros((n * n, n * n))
-    p_rep[rep, rep] = 1.0
-    beta = beta_vector(n)
-    # beta lives on the repeated indices, so P_beta P_rep = |beta><beta|
-    pound = (p_rep + np.outer(beta, beta)) / (2 * n)
-    # singlet (|jk> - |kj>)/sqrt(2) for each j < k, on disjoint index pairs
+    n = m.dim
+    dollar = choi_of_kraus(m.ops).matrix.real
+    rep = np.arange(n) * (n + 1)  # |jj>
     j, k = np.triu_indices(n, 1)
     jk, kj = j * n + k, k * n + j
-    h = 1.0 / np.sqrt(2)
-    w = h * h / (n * n)  # not 0.5 / n^2: keeps L bit-identical to sum_jk outer(s, s) / n^2
-    pound[jk, jk] = pound[kj, kj] = w
-    pound[jk, kj] = pound[kj, jk] = -w
-    pound.setflags(write=False)
-    return pound
-
-
-def induced_fidelity_functional(m: GeneralizedMeasurement) -> float:
-    """F = Tr(L $) with $ the attack's state operator."""
-    pound = pound_matrix(m.dim)
-    choi = choi_of_kraus(m.ops)
-    # L is real and symmetric: Tr(L $) = sum_ij L_ij Re $_ij, read row by row
-    return float(np.einsum("ij,ij->", pound, choi.matrix.real))
+    singlets = dollar[jk, jk].sum() + dollar[kj, kj].sum() - dollar[jk, kj].sum() - dollar[kj, jk].sum()
+    beta_block = dollar[np.ix_(rep, rep)].sum()
+    return float(dollar[rep, rep].sum() / (2 * n) + (beta_block + singlets) / (2 * n * n))
 
 
 def spectral_quantities(m: GeneralizedMeasurement) -> tuple[float, float]:

@@ -129,29 +129,33 @@ def _normalized(table: np.ndarray) -> np.ndarray:
 
 
 def _sample_outcomes(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one outcome per trial: trial i samples row rows[i] of `table` with uniform u[i].
+    """Draw one outcome per trial: trial i samples row rows[i] of `table` with uniform u[i] in [0, 1).
 
     Each row is normalized and cumulated once into an (R, K) CDF table; every
-    trial then runs the same branch-free lower bound in its row of the flat
-    table, log2(K) vectorized steps over all trials at once. Entries are
-    clamped at 0 first so every CDF is non-decreasing, which makes the bound
-    exactly the count of CDF entries below u; a row whose last entry rounds
-    below 1 is clamped to its last outcome.
+    trial then runs the same branch-free search in its row of the flat table,
+    log2(K) vectorized steps over all trials at once, for the count of CDF
+    entries <= u. Entries are clamped at 0 first so every CDF is
+    non-decreasing, and each row's CDF is exactly 1.0 from its last positive
+    outcome on, so the count is the first outcome whose CDF exceeds u: an
+    outcome of probability zero repeats the entry before it and is never
+    drawn, and no count reaches K.
     """
     k = table.shape[1]
     cdf = _normalized(table)
-    flat = np.cumsum(cdf, axis=1, out=cdf).ravel()
+    last = k - 1 - np.argmax(cdf[:, ::-1] > 0, axis=1)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf[np.arange(k) >= last[:, None]] = 1.0
+    flat = cdf.ravel()
     base = np.multiply(rows, k, dtype=np.intp)
     pos = base.copy()
     length = k
-    # the count of entries below u, within this row, lies in [pos - base, pos - base + length]
+    # the count of entries <= u, within this row, lies in [pos - base, pos - base + length]
     while length > 1:
         half = length >> 1
-        pos += half * (flat[half:].take(pos) < u)
+        pos += half * (flat[half:].take(pos) <= u)
         length -= half
-    pos += flat.take(pos) < u
-    pos -= base
-    return np.minimum(pos, k - 1, out=pos)
+    pos += flat.take(pos) <= u
+    return np.subtract(pos, base, out=pos)
 
 
 def _multinomial_rows(rng: np.random.Generator, trials: np.ndarray, p: np.ndarray) -> np.ndarray:

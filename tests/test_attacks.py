@@ -266,6 +266,10 @@ class TestRandomAttack:
         for seed in range(20):
             assert attacks.random_attack(2, 4, seed=seed).completeness_residual() <= 1e-9
 
+    def test_ill_conditioned_draw_is_rewhitened(self):
+        # one nearly singular 2x2 outcome: a single whitening pass leaves ~1.4e-11
+        assert attacks.random_attack(2, 1, seed=2573).completeness_residual() <= 1e-14
+
     def test_outcome_guard(self):
         with pytest.raises(ValueError):
             attacks.random_attack(3, 0, seed=1)

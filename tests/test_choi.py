@@ -1,5 +1,7 @@
 """State-operator correspondence against the direct Kraus-sum oracle."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -105,6 +107,25 @@ class TestChoiOfKraus:
             choi.choi_of_kraus([np.eye(2), np.eye(2), np.ones((2, 3))])
         with pytest.raises(ValueError, match="zero Kraus operator"):
             choi.choi_of_kraus([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match=r"\(K, m, n\) stack, got shape \(2, 2\)"):
+            choi.choi_of_kraus(np.eye(2))
+
+    def test_read_only_stack_is_not_copied(self):
+        # the (K, mn) rows are a view of the stack; only their conjugate is a copy
+        ops = random_attack(8, outcomes=200, seed=1).ops
+        assert not ops.flags.writeable
+        want = sum(np.outer(a.reshape(-1), a.reshape(-1).conj()) for a in ops)
+        choi.choi_of_kraus(ops)
+        tracemalloc.start()
+        try:
+            dollar = choi.choi_of_kraus(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ops.nbytes + dollar.matrix.nbytes + 2**12
+        npt.assert_allclose(dollar.matrix, want, rtol=0, atol=1e-14)
 
     def test_matches_outer_product_sum(self):
         # rectangular operators, passed as a list and as one stacked array

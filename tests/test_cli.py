@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qdecoy
-from qdecoy import attacks
+from qdecoy import attacks, cli
 from qdecoy.attacks import GeneralizedMeasurement
 from qdecoy.cli import main
 from qdecoy.metrics import induced_fidelity
@@ -321,6 +321,38 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --seed must be nonnegative, got -1\n"
+
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        # in-process callers build the parser once; reusing it changes no output or exit code
+        commands = [
+            (["curve", "--n", "4", "--points", "3"], 0),
+            (["verify", "--n", "3"], 0),
+            (["frobnicate"], 2),
+            (["curve", "--n", "1"], 2),
+            (["simulate", "--attack", "identity(n=2)", "--shots", "10", "--seed", "-1"], 2),
+            (["simulate", "--attack", "identity(n=2)", "--shots", "10", "--seed", "0"], 0),
+            (["curve", "--n", "4", "--points", "3", "--format", "json"], 0),
+            (["curve", "--n", "4", "--points", "3"], 0),
+        ]
+        fresh = []
+        for argv, code in commands:
+            monkeypatch.setattr(cli, "_parser", None)
+            assert main(argv) == code, argv
+            fresh.append(capsys.readouterr())
+        built = []
+        build = cli._build_parser
+
+        def spy():
+            built.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        monkeypatch.setattr(cli, "_parser", None)
+        for (argv, code), want in zip(commands, fresh):
+            assert main(argv) == code, argv
+            assert capsys.readouterr() == want, argv
+        assert len(built) == 1
 
 
 class TestOutput:

@@ -17,20 +17,18 @@ from qdecoy.attacks import (
     projective_attack,
     random_attack,
 )
-from qdecoy.choi import apply_channel, choi_of_kraus
+from qdecoy.choi import ChoiState, apply_channel, choi_of_kraus
 from qdecoy.ensembles import Ensemble, decoy_ket, pairing_ensemble
 from qdecoy import metrics
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     banaszek_bound,
-    beta_vector,
     decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
-    pound_matrix,
     spectral_quantities,
 )
 
@@ -74,12 +72,23 @@ def _dense_euro(m):
     return euro / n
 
 
+def _beta(n):
+    """Maximally entangled unit vector (1/sqrt(n)) sum_j |jj>."""
+    beta = np.zeros(n * n)
+    beta[np.arange(n) * n + np.arange(n)] = 1.0 / np.sqrt(n)
+    return beta
+
+
 def _pound_by_loop(n):
-    """L built one singlet projector at a time, as an n^2 x n^2 sum of outer products."""
+    """The dense n^2 x n^2 L with F = Tr(L $), built one singlet projector at a time.
+
+    L = (1/2n) P_rep + (1/2n) P_beta P_rep + (1/n^2) sum_{j<k} singlet
+    projectors on the nonrepeated subspace.
+    """
     rep = np.arange(n) * n + np.arange(n)
     p_rep = np.zeros((n * n, n * n))
     p_rep[rep, rep] = 1.0
-    beta = beta_vector(n)
+    beta = _beta(n)
     pound = (p_rep + np.outer(beta, beta) @ p_rep) / (2 * n)
     for j in range(n):
         for k in range(j + 1, n):
@@ -88,6 +97,11 @@ def _pound_by_loop(n):
             s[k * n + j] = -1.0 / np.sqrt(2)
             pound += np.outer(s, s) / (n * n)
     return pound
+
+
+def _dense_trace(m):
+    """Tr(L $) over every entry of the dense L and of the attack's state operator."""
+    return float(np.einsum("ij,ji->", _pound_by_loop(m.dim), choi_of_kraus(m.ops).matrix).real)
 
 
 def _induced_fidelity_by_outcome(m, e):
@@ -377,7 +391,7 @@ class TestInducedFidelity:
 class TestFunctionalMatrices:
     def test_projector_identities(self):
         for n in (2, 3, 4):
-            beta = beta_vector(n)
+            beta = _beta(n)
             rep = np.arange(n) * n + np.arange(n)
             p_rep = np.zeros((n * n, n * n))
             p_rep[rep, rep] = 1.0
@@ -388,7 +402,7 @@ class TestFunctionalMatrices:
             assert_allclose(p_beta @ p_rep, p_beta, rtol=0, atol=1e-15)
             assert_allclose(np.linalg.norm(beta), 1.0, rtol=0, atol=1e-15)
             # L splits over the repeated and nonrepeated subspaces
-            pound = pound_matrix(n)
+            pound = _pound_by_loop(n)
             assert_allclose(p_rep @ pound @ p_rep, (p_rep + p_beta @ p_rep) / (2 * n), rtol=0, atol=1e-15)
             assert_array_equal(p_rep @ pound @ p_nonrep, 0.0)
             singlets = n * n * (p_nonrep @ pound @ p_nonrep)
@@ -404,34 +418,54 @@ class TestFunctionalMatrices:
                 [1.0, 0.0, 0.0, 3.0],
             ]
         ) / 8.0
-        assert_allclose(pound_matrix(2), ref, rtol=0, atol=1e-15)
+        assert_allclose(_pound_by_loop(2), ref, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(2, 17))
-    def test_pound_matches_singlet_loop(self, n):
-        assert_array_equal(pound_matrix(n), _pound_by_loop(n))
+    def test_pound_matches_singlet_loop(self, n, monkeypatch):
+        # the entries the functional reads, with their weights, are the singlet-loop L: a
+        # generic complex matrix in place of $ (not Hermitian, not PSD) leaves no entry unseen
+        x = np.random.default_rng(n).standard_normal((2, n * n, n * n))
+        x = x[0] + 1j * x[1]
+        monkeypatch.setattr(metrics, "choi_of_kraus", lambda ops: ChoiState(dim_out=n, dim_in=n, matrix=x))
+        want = np.einsum("ij,ji->", _pound_by_loop(n), x).real
+        assert_allclose(induced_fidelity_functional(identity_attack(n)), want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_pound_is_exactly_symmetric(self, n):
-        # induced_fidelity_functional reads Tr(L $) as sum_ij L_ij $_ij
-        pound = pound_matrix(n)
+        # Tr(L $) = sum_ij L_ij Re $_ij, which the functional reads, needs L real and symmetric
+        pound = _pound_by_loop(n)
         assert_array_equal(pound, pound.T)
 
     def test_pound_spectrum(self):
         for n in (2, 3, 4, 6):
-            pound = pound_matrix(n)
+            pound = _pound_by_loop(n)
             assert np.isrealobj(pound)
             assert_allclose(pound, pound.T, rtol=0, atol=1e-15)
             assert psd_check(pound)
             w, _ = herm_eig(pound)
             assert_allclose(w[-1], 1.0 / n, rtol=0, atol=1e-12)
-            beta = beta_vector(n)
+            beta = _beta(n)
             assert_allclose(pound @ beta, beta / n, rtol=0, atol=1e-12)
 
-    def test_pound_cached_and_readonly(self):
-        pound = pound_matrix(3)
-        assert pound_matrix(3) is pound
-        with pytest.raises(ValueError):
-            pound[0, 0] = 1.0
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_structured_trace_equals_dense_trace(self, n):
+        attacks = [random_attack(n, outcomes=k, seed=n + k) for k in (1, n, n * n, n * n + 3)]
+        for m in attacks + _named_attacks(n):
+            assert_allclose(induced_fidelity_functional(m), _dense_trace(m), rtol=0, atol=1e-15, err_msg=m.descriptor)
+
+    def test_functional_holds_one_state_operator(self):
+        # $ (1 MiB at n = 16) and the conjugated (K, n^2) rows its product needs (1 MiB at
+        # K = n^2), plus O(n^2) gathered entries: no dense L, no copy of the stack or of Re $
+        n = 16
+        m = random_attack(n, seed=1)
+        induced_fidelity_functional(m)
+        tracemalloc.start()
+        try:
+            induced_fidelity_functional(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n**4 + m.ops.nbytes + 64 * n * n
 
     def test_euro_trace_recovers_estimation(self):
         # pair the dense block matrix with the outcome-extended state operator

@@ -28,19 +28,39 @@ from qdecoy.protocol import (
 
 
 def _sample_rows(table, rows, u):
-    """Reference sampler: gathers a (trials, K) table of rows and counts u > cumsum."""
+    """Reference sampler: gathers a (trials, K) table of rows and counts the CDF entries <= u.
+
+    Each CDF is 1.0 from its row's last positive outcome on, so an outcome of
+    probability zero is never drawn and no count reaches K for u < 1.
+    """
     probs = table[rows]
     probs = probs / probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
-    return np.minimum((u[:, None] > cum).sum(axis=1), table.shape[1] - 1)
+    k = table.shape[1]
+    last = k - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    cum[np.arange(k) >= last[:, None]] = 1.0
+    return (u[:, None] >= cum).sum(axis=1)
 
 
 def _uniforms_on_entries(table):
-    """Every row once per CDF entry, with u on that entry, at 0 and just above the last entry."""
+    """Every row at u = 0, on and just above each CDF entry below 1, and at the largest uniform.
+
+    Only values a uniform in [0, 1) can take are kept.
+    """
     cum = np.cumsum(table / table.sum(axis=1, keepdims=True), axis=1)
-    rows = np.repeat(np.arange(table.shape[0]), cum.shape[1] + 2)
-    u = np.concatenate([np.concatenate([[0.0], c, [np.nextafter(c[-1], 2.0)]]) for c in cum])
-    return rows, u
+    rows, u = [], []
+    for i, c in enumerate(cum):
+        row_u = np.concatenate([[0.0], c, np.nextafter(c, 2.0), [1.0 - 2.0**-53]])
+        row_u = row_u[row_u < 1.0]
+        rows.append(np.full(row_u.size, i))
+        u.append(row_u)
+    return np.concatenate(rows), np.concatenate(u)
+
+
+def _assert_no_zero_outcome(table, rows, u, got):
+    """No uniform in [0, 1) lands on an outcome of probability zero."""
+    assert np.all((u >= 0.0) & (u < 1.0))
+    assert np.all(table[rows, got] > 0)
 
 
 def _sampler_attacks():
@@ -68,13 +88,13 @@ class TestSampler:
                 )
 
     def test_uniforms_on_cdf_entries(self):
-        # u equal to a CDF entry is where "count of entries below u" is decided by ties
+        # u equal to a CDF entry is where "count of entries <= u" is decided by ties
         for m in _sampler_attacks():
             for table in _pair_tables(m)[:2]:
                 rows, u = _uniforms_on_entries(table)
-                np.testing.assert_array_equal(
-                    _sample_outcomes(table, rows, u), _sample_rows(table, rows, u), err_msg=m.descriptor
-                )
+                got = _sample_outcomes(table, rows, u)
+                np.testing.assert_array_equal(got, _sample_rows(table, rows, u), err_msg=m.descriptor)
+                _assert_no_zero_outcome(table, rows, u, got)
 
     def test_outcome_counts_around_powers_of_two(self):
         # the search halves K each step; odd and power-of-two K end their last steps differently
@@ -88,6 +108,7 @@ class TestSampler:
                 got = _sample_outcomes(table, rows, u)
                 np.testing.assert_array_equal(got, _sample_rows(table, rows, u), err_msg=f"K = {k}")
                 assert got.min() >= 0 and got.max() <= k - 1
+                _assert_no_zero_outcome(table, rows, u, got)
 
     def test_cdf_ending_below_one_clamps_to_last_outcome(self):
         # 21 equal entries cumulate to 1 - 7e-16; a uniform above that is outcome K - 1, not K
@@ -98,13 +119,16 @@ class TestSampler:
         rows = np.zeros(2, dtype=np.intp)
         np.testing.assert_array_equal(_sample_outcomes(table, rows, u), [20, 20])
         np.testing.assert_array_equal(_sample_outcomes(table, rows, u), _sample_rows(table, rows, u))
-        # the same row followed by zeros: the clamp lands where the reference's does
+        # the same row followed by zeros: the last positive outcome, never a zero one after it
         table = np.concatenate([table, np.zeros((1, 3))], axis=1)
+        np.testing.assert_array_equal(_sample_outcomes(table, rows, u), [20, 20])
         rows, u = _uniforms_on_entries(table)
-        np.testing.assert_array_equal(_sample_outcomes(table, rows, u), _sample_rows(table, rows, u))
+        got = _sample_outcomes(table, rows, u)
+        np.testing.assert_array_equal(got, _sample_rows(table, rows, u))
+        _assert_no_zero_outcome(table, rows, u, got)
 
     def test_zero_probability_runs_at_head_and_tail(self):
-        # zero entries repeat a CDF value; a uniform in (0, 1) never lands inside a run
+        # zero entries repeat a CDF value; no uniform in [0, 1), 0 itself included, lands on one
         table = np.array(
             [
                 [0.0, 0.0, 0.0, 0.25, 0.75, 0.0, 0.0],
@@ -119,8 +143,8 @@ class TestSampler:
         u = np.concatenate([u, rng.random(3000)])
         got = _sample_outcomes(table, rows, u)
         np.testing.assert_array_equal(got, _sample_rows(table, rows, u))
-        inside = (u > 0) & (u < 1)
-        assert np.all(table[rows[inside], got[inside]] > 0)
+        _assert_no_zero_outcome(table, rows, u, got)
+        np.testing.assert_array_equal(_sample_outcomes(table, np.arange(4), np.zeros(4)), [3, 6, 0, 1])
 
     def test_memory_is_tables_plus_a_few_arrays_per_trial(self):
         # no (trials, K) or (trials, log K) array: two tables and 48 bytes a trial at most
@@ -340,7 +364,7 @@ class TestRunProtocol:
                 assert_allclose(rep.d_analytic, d_closed, rtol=0, atol=1e-15)
 
     def test_seeded_report_pinned(self):
-        # recorded from the count sampler (stream 0.2.0): dense message rows, sparse decoy rows
+        # recorded from the count sampler (stream 0.2.0, unchanged in 0.2.1): dense message rows, sparse decoy rows
         rep = run_protocol(16, random_attack(16, seed=1), 100000, seed=1)
         assert rep == SimReport(
             n=16,
@@ -362,7 +386,7 @@ class TestRunProtocol:
         )
 
     def test_seeded_sampled_report_pinned(self):
-        # recorded from the count sampler (stream 0.2.0): K = 27 is not a power of
+        # recorded from the count sampler (stream 0.2.0, unchanged in 0.2.1): K = 27 is not a power of
         # two, and Bob's bit is sampled
         rep = run_protocol(
             5, random_attack(5, outcomes=27, seed=3), 30000, decoy_fraction=0.3, seed=7, sample_bob=True
