@@ -63,7 +63,7 @@ class GeneralizedMeasurement:
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for i in range(0, len(rows), step):
             total += gram_sum(rows[i : i + step])
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        return _identity_residual(total)
 
     def validate(self) -> None:
         """Raise unless this is a well-formed complete measurement."""
@@ -74,8 +74,9 @@ class GeneralizedMeasurement:
             raise ValueError(f"outcome {zero[0]}: zero operator")
         self._check_complete()
 
-    def _check_complete(self) -> None:
-        res = self.completeness_residual()
+    def _check_complete(self, gram: np.ndarray | None = None) -> None:
+        """Raise unless complete; `gram` is sum_r A_r†A_r, if the caller has already formed it."""
+        res = self.completeness_residual() if gram is None else _identity_residual(gram)
         if res > DEFAULT_TOL:
             raise ValueError(f"completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
 
@@ -87,6 +88,16 @@ def gram_sum(a: np.ndarray) -> np.ndarray:
     """
     rows = a.reshape(-1, a.shape[-1])
     return rows.conj().T @ rows
+
+
+def _identity_residual(s: np.ndarray) -> float:
+    """Max-norm of s - Id for a square matrix s."""
+    return float(np.max(np.abs(s - np.eye(len(s)))))
+
+
+def _whiten(b: np.ndarray, s_inv_sqrt: np.ndarray) -> np.ndarray:
+    """{B_r S} for a (K, n, n) stack, as one product of its (K*n, n) reshape."""
+    return (b.reshape(-1, b.shape[-1]) @ s_inv_sqrt).reshape(b.shape)
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -112,11 +123,13 @@ def from_kraus(ops) -> GeneralizedMeasurement:
     return m
 
 
-def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
+def _from_family(ops, descriptor: str, gram: np.ndarray | None = None) -> GeneralizedMeasurement:
     """Family constructor back end: drop zero operators, check completeness.
 
     The norms are taken once here, so what is kept is nonempty and nonzero and
-    only completeness is left to check.
+    only completeness is left to check, against `gram` (sum_r A_r†A_r) when
+    the caller has formed it; dropped operators are zero, so they do not
+    change it.
     """
     a = np.asarray(ops, dtype=complex)
     keep = _norms(a) >= ZERO_NORM
@@ -127,7 +140,7 @@ def _from_family(ops, descriptor: str) -> GeneralizedMeasurement:
         raise ValueError(f"{descriptor}: no nonzero outcomes")
     # a[keep] is a copy, made only when an outcome goes
     m = GeneralizedMeasurement(a[keep] if dropped else a, descriptor)
-    m._check_complete()
+    m._check_complete(gram)
     return m
 
 
@@ -186,6 +199,8 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     ill-conditioned S (say, one nearly singular outcome) costs S^(-1/2) digits,
     so a draw left more than _REWHITEN_TOL from completeness is whitened once
     more by its now near-identity Gram sum, which brings it to rounding.
+    The Gram sum of the first whitening is also the completeness check; a
+    re-whitened draw is checked afresh.
     """
     check_dim(n)
     k = n * n if outcomes is None else int(outcomes)
@@ -204,11 +219,12 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
             s_inv_sqrt = inv_sqrt_psd(gram_sum(b))
         except ValueError:
             continue
-        b = b @ s_inv_sqrt  # rebound, so the raw draw is freed before the attack copies it
+        b = _whiten(b, s_inv_sqrt)  # rebound, so the raw draw is freed before the attack copies it
         s = gram_sum(b)
-        if np.max(np.abs(s - np.eye(n))) > _REWHITEN_TOL:
-            b = b @ inv_sqrt_psd(s)
-        return _from_family(b, f"random(n={n},k={k},seed={seed})")
+        if _identity_residual(s) > _REWHITEN_TOL:
+            b = _whiten(b, inv_sqrt_psd(s))
+            s = None
+        return _from_family(b, f"random(n={n},k={k},seed={seed})", gram=s)
     raise ValueError(f"random draw not normalizable after 8 attempts (n={n}, k={k}, seed={seed})")
 
 

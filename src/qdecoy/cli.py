@@ -29,10 +29,9 @@ from .attacks import (
     random_attack,  # not called here; qdbench/tracing.py wraps qdecoy.cli.random_attack
 )
 from .metrics import (
-    estimation_fidelity,
+    estimation_fidelity,  # not called here; qdbench/tracing.py wraps qdecoy.cli.estimation_fidelity
     estimation_fidelity_functional,
     induced_fidelity,
-    induced_fidelity_closed,
     induced_fidelity_functional,
 )
 from .ensembles import pairing_ensemble
@@ -165,23 +164,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = g_grid[int(np.argmax(gaps))]
             failures.append(f"saturation gap {max_gap!r} at g={worst!r} exceeds {_sci(_SATURATION_TOL)}")
 
-        res_attacks = list(named)
+        # each cross-checked attack with the point that certified it
+        checked = list(zip(named, named_points))
         min_sweep = None
         if args.trials > 0:
             # the sweep's first ten attacks are also checked on every route
-            _, min_sweep, swept = sweep_random(args.n, args.trials, seed=args.seed)
-            res_attacks += swept
+            swept_points, min_sweep, swept = sweep_random(args.n, args.trials, seed=args.seed)
+            checked += zip(swept, swept_points)
 
         pairing = pairing_ensemble(args.n)
         res_g = 0.0
         res_f = 0.0
         res_closed = 0.0
-        for m in res_attacks:
-            g_def, _ = estimation_fidelity(m)
-            res_g = max(res_g, abs(g_def - estimation_fidelity_functional(m)))
+        for m, p in checked:
+            res_g = max(res_g, abs(p.g - estimation_fidelity_functional(m)))
             f_def = induced_fidelity(m, pairing)
             res_f = max(res_f, abs(f_def - induced_fidelity_functional(m)))
-            res_closed = max(res_closed, abs(induced_fidelity_closed(m.ops) - f_def))
+            res_closed = max(res_closed, abs((1.0 - p.d) - f_def))
         if res_g > _G_ROUTE_TOL:
             failures.append(f"estimation functional residual {res_g!r} exceeds {_sci(_G_ROUTE_TOL)}")
         if res_f > _F_ROUTE_TOL:

@@ -10,7 +10,7 @@ pair {|phi><phi|, Id - |phi><phi|}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,16 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Finite ensemble of pure states: items are (weight, unit ket) pairs."""
+    """Finite ensemble of pure states: items are (weight, unit ket) pairs.
+
+    Construction also stacks them once, as the read-only arrays `weights`
+    (length N) and `kets` (N, dim), which the definition sum reads.
+    """
 
     dim: int
     items: tuple
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    kets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.array([w for w, _ in self.items], dtype=float)
@@ -36,6 +42,10 @@ class Ensemble:
                 raise ValueError("ket dimension mismatch")
             if abs(np.linalg.norm(ket) - 1.0) > _UNIT_TOL:
                 raise ValueError("ket is not normalized")
+        kets = np.array([ket for _, ket in self.items], dtype=complex)
+        for name, arr in (("weights", weights), ("kets", kets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _check_index(j: int, n: int) -> None:

@@ -9,7 +9,8 @@ ensemble; the receiver catches tampering with probability D = 1 - F.
 
 The evaluator works on the attack's (K, n, n) Kraus array `ops` in
 O(K n^2): estimation_fidelity for G, and induced_fidelity_closed for F, which
-sums the squared decoy amplitudes <phi_jk|A_r|phi_jk> (decoy_amplitudes).
+sums the squared decoy amplitudes <phi_jk|A_r|phi_jk> a block of outcomes
+at a time; decoy_amplitudes fills the whole table from the same blocks.
 attack_point, the certification sweep and the protocol's analytic values
 all use it.
 
@@ -46,7 +47,7 @@ _DIAGONAL_TOL = 1e-10
 #: product to keep up with one outcome at a time when K = n; 16 MiB holds
 #: over 100 states up to n = 64 and K = n^2
 _ORACLE_BLOCK_BYTES = 16 * 2**20
-#: bytes of Kraus operators per block of outcomes in decoy_amplitudes; small
+#: bytes of Kraus operators per block of outcomes in _amplitude_blocks; small
 #: blocks keep its temporaries in cache and out of the peak
 _AMP_BLOCK_BYTES = 128 * 2**10
 
@@ -73,28 +74,41 @@ def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
     return float(np.sum(np.abs(np.take_along_axis(vecs, idx, axis=1)) ** 2) / n)
 
 
+def _amplitude_blocks(a: np.ndarray, out: np.ndarray | None = None):
+    """Yield the decoy amplitudes of a (K, n, n) Kraus stack one block of outcomes at a time.
+
+    Block entry [r, j, k] is <phi_jk|A_r|phi_jk>. With phi_jk = (|j> + i|k>)/sqrt(2)
+    this is (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where
+    the decoy is |j> itself. A block covers _AMP_BLOCK_BYTES of operators, so
+    its temporaries stay that small; it is written into its rows of `out`, a
+    (K, n, n) table, when one is given, else into a new array. Every entry is
+    the same complex expression whatever the block.
+    """
+    k, n, _ = a.shape
+    step = max(1, _AMP_BLOCK_BYTES // (16 * n * n))
+    idx = np.arange(n)
+    for lo in range(0, k, step):
+        blk = a[lo : lo + step]
+        d = np.einsum("rjj->rj", blk)
+        amp = np.multiply(
+            0.5,
+            d[:, :, None] + d[:, None, :] + 1j * (blk - blk.transpose(0, 2, 1)),
+            out=None if out is None else out[lo : lo + step],
+        )
+        amp[:, idx, idx] = d
+        yield amp
+
+
 def decoy_amplitudes(a: np.ndarray) -> np.ndarray:
     """amp[j*n + k, r] = <phi_jk|A_r|phi_jk> for a (K, n, n) Kraus stack.
 
-    With phi_jk = (|j> + i|k>)/sqrt(2) this is
-    (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where the
-    decoy is |j> itself.
-
-    The sum is written into the result a block of outcomes at a time, so
-    its temporaries hold _AMP_BLOCK_BYTES, not a (K, n, n) stack each; every
-    entry is the same complex expression whatever the block.
+    The table is filled by _amplitude_blocks, so it holds no (K, n, n)
+    temporary besides itself.
     """
     k, n, _ = a.shape
-    diag = np.einsum("rjj->rj", a)
     amp = np.empty((k, n, n), dtype=complex)
-    step = max(1, _AMP_BLOCK_BYTES // (16 * n * n))
-    for lo in range(0, k, step):
-        d, blk = diag[lo : lo + step], a[lo : lo + step]
-        np.multiply(
-            0.5, d[:, :, None] + d[:, None, :] + 1j * (blk - blk.transpose(0, 2, 1)), out=amp[lo : lo + step]
-        )
-    idx = np.arange(n)
-    amp[:, idx, idx] = diag
+    for _ in _amplitude_blocks(a, out=amp):
+        pass
     return amp.reshape(k, n * n).T
 
 
@@ -104,8 +118,13 @@ def pairing_fidelity(amp: np.ndarray) -> float:
 
 
 def induced_fidelity_closed(a: np.ndarray) -> float:
-    """F over the pairing ensemble in O(K n^2), from `decoy_amplitudes`."""
-    return pairing_fidelity(decoy_amplitudes(a))
+    """F over the pairing ensemble in O(K n^2): the squared decoy amplitudes,
+    summed one block of outcomes at a time, so no (K, n, n) table is built."""
+    n = a.shape[1]
+    total = 0.0
+    for amp in _amplitude_blocks(a):
+        total += np.sum(np.abs(amp) ** 2)
+    return float(total / (n * n))
 
 
 def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
@@ -118,8 +137,7 @@ def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
     if e.dim != m.dim:
         raise ValueError(f"ensemble dimension {e.dim} != measurement dimension {m.dim}")
     n, k = m.dim, len(m.ops)
-    weights = np.array([w for w, _ in e.items])
-    kets = np.array([ket for _, ket in e.items])
+    weights, kets = e.weights, e.kets
     vecs = m.ops.reshape(k, n * n)
     # bytes per state, at most: its complex n^2 column, plus K complex
     # amplitudes and their K moduli, or K moduli and their K squares

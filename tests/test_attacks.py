@@ -270,6 +270,16 @@ class TestRandomAttack:
         # one nearly singular 2x2 outcome: a single whitening pass leaves ~1.4e-11
         assert attacks.random_attack(2, 1, seed=2573).completeness_residual() <= 1e-14
 
+    @pytest.mark.parametrize("rewhiten_tol", [attacks._REWHITEN_TOL, 1.0])
+    def test_incomplete_whitening_is_caught(self, monkeypatch, rewhiten_tol):
+        # whitening 0.1 % too strong leaves every Gram sum ~1.002 Id: the
+        # re-whitened draw's fresh check catches it, and with re-whitening off
+        # (tolerance 1.0) the first whitening's reused Gram sum does
+        monkeypatch.setattr(attacks, "_REWHITEN_TOL", rewhiten_tol)
+        monkeypatch.setattr(attacks, "inv_sqrt_psd", lambda s: 1.001 * inv_sqrt_psd(s))
+        with pytest.raises(ValueError, match="completeness violated"):
+            attacks.random_attack(3, seed=0)
+
     def test_outcome_guard(self):
         with pytest.raises(ValueError):
             attacks.random_attack(3, 0, seed=1)

@@ -13,7 +13,7 @@ import qdecoy
 from qdecoy import attacks, cli
 from qdecoy.attacks import GeneralizedMeasurement
 from qdecoy.cli import main
-from qdecoy.metrics import induced_fidelity
+from qdecoy.metrics import induced_fidelity, induced_fidelity_closed
 from qdecoy.tradeoff import disturbance_bound
 
 
@@ -118,8 +118,14 @@ class TestVerify:
         line = next(x for x in out.splitlines() if x.startswith("max |F_closed - F_def|: "))
         assert float(line.split(": ")[1]) <= 1e-10
 
+    @staticmethod
+    def _lower_closed_form(monkeypatch):
+        """F_closed 1e-6 below its true value where attacks are certified: D
+        rises, so every margin still passes, and the cross-check sees the gap."""
+        monkeypatch.setattr("qdecoy.tradeoff.induced_fidelity_closed", lambda a: induced_fidelity_closed(a) - 1e-6)
+
     def test_closed_form_residual_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr("qdecoy.cli.induced_fidelity_closed", lambda a: 2.0)
+        self._lower_closed_form(monkeypatch)
         assert main(["verify", "--n", "2"]) == 1
         assert "verify: FAIL (closed-form fidelity residual" in capsys.readouterr().out
 
@@ -127,7 +133,7 @@ class TestVerify:
         monkeypatch.setattr("qdecoy.cli.saturation_gap", lambda n, g: 1.0)
         monkeypatch.setattr("qdecoy.cli.estimation_fidelity_functional", lambda m: 2.0)
         monkeypatch.setattr("qdecoy.cli.induced_fidelity_functional", lambda m: 2.0)
-        monkeypatch.setattr("qdecoy.cli.induced_fidelity_closed", lambda a: 2.0)
+        self._lower_closed_form(monkeypatch)
         assert main(["verify", "--n", "2"]) == 1
         fails = [x for x in capsys.readouterr().out.splitlines() if x.startswith("verify: FAIL")]
         assert [x.rsplit(" ", 1)[1] for x in fails] == ["1e-9)", "1e-12)", "1e-10)", "1e-10)"]
@@ -152,6 +158,20 @@ class TestVerify:
             swept = [m for m in checked if m.descriptor.startswith("random(")]
             assert len(swept) == min(trials, 10)
             assert all(a is b for a, b in zip(swept, built))
+
+    def test_each_attack_is_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a.shape)
+            return induced_fidelity_closed(a)
+
+        monkeypatch.setattr("qdecoy.tradeoff.induced_fidelity_closed", spy)
+        monkeypatch.setattr("qdecoy.cli.induced_fidelity_closed", spy, raising=False)
+        assert main(["verify", "--n", "2", "--trials", "12", "--seed", "5"]) == 0
+        # 18 named attacks and 12 random ones, each certified once; the
+        # cross-check reads F from the certified points
+        assert len(calls) == 18 + 12
 
 
 class TestSimulate:

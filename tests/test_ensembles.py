@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qdecoy import ensembles, linalg
+from qdecoy import attacks, ensembles, linalg, metrics
 
 
 def _canonical_ensemble(n):
@@ -147,3 +147,30 @@ class TestEnsembleValidation:
         ket = np.array([1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
             ensembles.Ensemble(dim=2, items=((1.0, ket),))
+
+
+class TestEnsembleArrays:
+    @staticmethod
+    def _random_ensemble(n, size, seed):
+        """`size` random unit kets with unequal weights: not the pairing ensemble."""
+        rng = np.random.default_rng(seed)
+        kets = rng.normal(size=(size, n)) + 1j * rng.normal(size=(size, n))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        return ensembles.Ensemble(dim=n, items=tuple(zip(rng.dirichlet(np.ones(size)), kets)))
+
+    def test_arrays_are_read_only_stacks_of_the_items(self):
+        for e in (ensembles.pairing_ensemble(3), self._random_ensemble(4, 7, seed=0)):
+            npt.assert_array_equal(e.weights, [w for w, _ in e.items])
+            npt.assert_array_equal(e.kets, [ket for _, ket in e.items])
+            assert e.kets.shape == (len(e.items), e.dim)
+            for arr in (e.weights, e.kets):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_definition_sum_reads_the_arrays(self, n):
+        e = self._random_ensemble(n, 2 * n + 3, seed=n)
+        m = attacks.random_attack(n, outcomes=n + 2, seed=n)
+        want = sum(w * sum(abs(ket.conj() @ op @ ket) ** 2 for op in m.ops) for w, ket in e.items)
+        assert abs(metrics.induced_fidelity(m, e) - want) <= 1e-14

@@ -29,6 +29,7 @@ from qdecoy.metrics import (
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
+    pairing_fidelity,
     spectral_quantities,
 )
 
@@ -271,6 +272,25 @@ class TestClosedForm:
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes + 4 * metrics._AMP_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_blocked_sum_equals_the_table(self, n):
+        stacks = [random_attack(n, outcomes=k, seed=n + k).ops for k in (1, n, n * n, n * n + 3)]
+        stacks += [m.ops for m in _named_attacks(n)]
+        for a in stacks:
+            assert abs(induced_fidelity_closed(a) - pairing_fidelity(decoy_amplitudes(a))) <= 1e-15
+
+    def test_closed_form_builds_no_amplitude_table(self):
+        # a few block-sized temporaries; the (K, n, n) table alone is one stack
+        a = random_attack(16, seed=1).ops
+        induced_fidelity_closed(a)
+        tracemalloc.start()
+        try:
+            induced_fidelity_closed(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * a.nbytes
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_three_routes_agree_on_random_attacks(self, n):
