@@ -41,7 +41,6 @@ from .attacks import (
 )
 from .metrics import (
     banaszek_bound,
-    decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
@@ -89,7 +88,6 @@ __all__ = [
     "parse_descriptor",
     "estimation_fidelity",
     "estimation_fidelity_functional",
-    "decoy_amplitudes",
     "induced_fidelity",
     "induced_fidelity_closed",
     "induced_fidelity_functional",

@@ -48,8 +48,8 @@ from .tradeoff import (
 )
 
 #: exact functional evaluation materializes n^4 matrix entries. simulate is
-#: exempt: its O(n^2 K) tables, not --shots, set its cost, since it draws cell
-#: counts; nothing yet bounds those tables at large n
+#: exempt: it draws cell counts, so its two real (n^2, K) tables and the attack,
+#: not --shots, set its cost (554 MB at n = 64); nothing yet bounds them at large n
 _N_CAP = 64
 
 #: verify's largest accepted |D - bound| on the saturating family

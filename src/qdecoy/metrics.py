@@ -8,9 +8,9 @@ overlap the forwarded state keeps with a decoy, averaged over the pairing
 ensemble; the receiver catches tampering with probability D = 1 - F.
 
 The evaluator works on the attack's (K, n, n) Kraus array `ops` in
-O(K n^2): estimation_fidelity for G, and induced_fidelity_closed for F, which
-sums the squared decoy amplitudes <phi_jk|A_r|phi_jk> a block of outcomes
-at a time; decoy_amplitudes fills the whole table from the same blocks.
+O(K n^2), one block of outcomes at a time: estimation_fidelity for G, and
+induced_fidelity_closed for F, which sums the squared decoy amplitudes
+|<phi_jk|A_r|phi_jk>|^2 and can keep them in a table for the protocol.
 attack_point, the certification sweep and the protocol's analytic values
 all use it.
 
@@ -47,15 +47,26 @@ _DIAGONAL_TOL = 1e-10
 #: product to keep up with one outcome at a time when K = n; 16 MiB holds
 #: over 100 states up to n = 64 and K = n^2
 _ORACLE_BLOCK_BYTES = 16 * 2**20
-#: bytes of Kraus operators per block of outcomes in _amplitude_blocks; small
-#: blocks keep its temporaries in cache and out of the peak
-_AMP_BLOCK_BYTES = 128 * 2**10
+#: bytes of Kraus operators per block of outcomes (_outcome_blocks); small
+#: blocks keep the temporaries of G, F and the protocol's tables in cache and
+#: out of the peak
+_OUTCOME_BLOCK_BYTES = 128 * 2**10
+
+
+def _outcome_blocks(a: np.ndarray):
+    """Yield (lo, a[lo:hi]) over a (K, n, n) Kraus stack, _OUTCOME_BLOCK_BYTES of operators per block."""
+    k, n, _ = a.shape
+    step = max(1, _OUTCOME_BLOCK_BYTES // (16 * n * n))
+    for lo in range(0, k, step):
+        yield lo, a[lo : lo + step]
 
 
 def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, np.ndarray]:
     """G from the definition, the mean best diagonal weight per outcome, and each guess j_(r)."""
     a = m.ops
-    d = np.einsum("rij,rij->rj", a.conj(), a).real  # d[r, j] = <j|A_r†A_r|j>
+    d = np.empty(a.shape[:2])  # d[r, j] = <j|A_r†A_r|j>
+    for lo, blk in _outcome_blocks(a):
+        d[lo : lo + len(blk)] = np.einsum("rij,rij->rj", blk.conj(), blk).real
     guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - _TIE, axis=1)
     weights = d[np.arange(len(d)), guesses]
     return float(weights.sum() / m.dim), guesses
@@ -74,56 +85,37 @@ def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
     return float(np.sum(np.abs(np.take_along_axis(vecs, idx, axis=1)) ** 2) / n)
 
 
-def _amplitude_blocks(a: np.ndarray, out: np.ndarray | None = None):
-    """Yield the decoy amplitudes of a (K, n, n) Kraus stack one block of outcomes at a time.
+def _decoy_weights(a: np.ndarray, out: np.ndarray | None = None):
+    """Yield the squared decoy amplitudes of a (K, n, n) Kraus stack one block of outcomes at a time.
 
-    Block entry [r, j, k] is <phi_jk|A_r|phi_jk>. With phi_jk = (|j> + i|k>)/sqrt(2)
-    this is (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where
-    the decoy is |j> itself. A block covers _AMP_BLOCK_BYTES of operators, so
-    its temporaries stay that small; it is written into its rows of `out`, a
-    (K, n, n) table, when one is given, else into a new array. Every entry is
-    the same complex expression whatever the block.
+    Block entry [r, j, k] is |<phi_jk|A_r|phi_jk>|^2. With
+    phi_jk = (|j> + i|k>)/sqrt(2) the amplitude is
+    (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where the
+    decoy is |j> itself. Each block's squares are written into its rows of
+    `out`, a real (K, n, n) table, when one is given, else into a new array;
+    every entry is the same expression whatever the block.
     """
-    k, n, _ = a.shape
-    step = max(1, _AMP_BLOCK_BYTES // (16 * n * n))
+    n = a.shape[1]
     idx = np.arange(n)
-    for lo in range(0, k, step):
-        blk = a[lo : lo + step]
+    for lo, blk in _outcome_blocks(a):
         d = np.einsum("rjj->rj", blk)
-        amp = np.multiply(
-            0.5,
-            d[:, :, None] + d[:, None, :] + 1j * (blk - blk.transpose(0, 2, 1)),
-            out=None if out is None else out[lo : lo + step],
-        )
+        amp = 0.5 * (d[:, :, None] + d[:, None, :] + 1j * (blk - blk.transpose(0, 2, 1)))
         amp[:, idx, idx] = d
-        yield amp
+        w = np.abs(amp, out=None if out is None else out[lo : lo + len(blk)])
+        yield np.square(w, out=w)
 
 
-def decoy_amplitudes(a: np.ndarray) -> np.ndarray:
-    """amp[j*n + k, r] = <phi_jk|A_r|phi_jk> for a (K, n, n) Kraus stack.
-
-    The table is filled by _amplitude_blocks, so it holds no (K, n, n)
-    temporary besides itself.
-    """
-    k, n, _ = a.shape
-    amp = np.empty((k, n, n), dtype=complex)
-    for _ in _amplitude_blocks(a, out=amp):
-        pass
-    return amp.reshape(k, n * n).T
-
-
-def pairing_fidelity(amp: np.ndarray) -> float:
-    """F from the (n^2, K) decoy amplitudes: sum_{s,r} |amp[s, r]|^2 / n^2."""
-    return float(np.sum(np.abs(amp) ** 2) / amp.shape[0])
-
-
-def induced_fidelity_closed(a: np.ndarray) -> float:
+def induced_fidelity_closed(a: np.ndarray, out: np.ndarray | None = None) -> float:
     """F over the pairing ensemble in O(K n^2): the squared decoy amplitudes,
-    summed one block of outcomes at a time, so no (K, n, n) table is built."""
+    summed one block of outcomes at a time (_decoy_weights).
+
+    Given a real (K, n, n) `out`, the squares are also kept there, so the
+    protocol's weight table and its F come from one pass.
+    """
     n = a.shape[1]
     total = 0.0
-    for amp in _amplitude_blocks(a):
-        total += np.sum(np.abs(amp) ** 2)
+    for w in _decoy_weights(a, out):
+        total += np.sum(w)
     return float(total / (n * n))
 
 

@@ -22,11 +22,12 @@ trials per word and per pair, then each row's outcome counts. A row with at
 least K trials draws them with one multinomial over the row; each trial of a
 sparser row draws a uniform and runs a vectorized binary search in the row's
 CDF, log2(K) steps. g_hat and d_hat are sums over the occupied cells,
-weighted by their counts. The per-state tables are O(n^2 K) and built once.
-A sparse row holds fewer than K trials, so sampling costs O(n^2 K) at any
-shot count, and the rows go in blocks of about _BLOCK_BYTES, so beyond the
-tables memory does not grow with shots. The block layout is part of the
-seeded stream.
+weighted by their counts. The per-state tables are O(n^2 K) and built once,
+a block of outcomes at a time; d_analytic is the sum of the decoy weights
+in them, so it is the evaluator's D to the bit. A sparse row holds fewer
+than K trials, so sampling costs O(n^2 K) at any shot count, and the rows go
+in blocks of about _BLOCK_BYTES, so beyond the tables memory does not grow
+with shots. The block layout is part of the seeded stream.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .attacks import GeneralizedMeasurement
 from .linalg import DEFAULT_TOL, check_dim
-from .metrics import decoy_amplitudes, estimation_fidelity, pairing_fidelity
+from .metrics import _outcome_blocks, estimation_fidelity, induced_fidelity_closed
 
 #: conditional probabilities within this of 0 or 1 are physically exact events
 #: reported off by float rounding (decoy amplitudes carry 1/sqrt(2) factors)
@@ -83,28 +84,34 @@ class SimReport:
     d_within_4se: bool | None
 
 
-def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state outcome tables: p_msg[j, r], p_decoy[s, r], amp[s, r].
+def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per-state outcome tables p_msg[j, r], p_decoy[s, r], w[s, r], and F.
 
-    s runs over ordered pairs (j, k) flattened as j*n + k; amp is the decoy's
-    forwarded amplitude <phi_jk|A_r|phi_jk>. With G_r = A_r†A_r, the decoy
-    probability is (G_jj + G_kk)/2 - Im G_jk, and G_jj on the diagonal.
-    Everything is O(K n^2), so the simulator never materializes ensembles or
-    n^4 functional matrices. Each (K, n, n) intermediate is dropped as soon as
-    the next is built, so at most two of them are held at a time.
+    s runs over ordered pairs (j, k) flattened as j*n + k; w is the squared
+    amplitude |<phi_jk|A_r|phi_jk>|^2 the decoy keeps, filled by
+    induced_fidelity_closed in the pass that sums it to F. With
+    G_r = A_r†A_r, the decoy probability is (G_jj + G_kk)/2 - Im G_jk, and
+    G_jj on the diagonal. Every table is O(K n^2) and built one block of
+    outcomes at a time straight from `ops`, so beyond the tables the build
+    holds a few block-sized temporaries, never a (K, n, n) one, and the
+    simulator never materializes ensembles or n^4 functional matrices.
     """
     a = m.ops
     k, n, _ = a.shape
-    gram = a.conj().transpose(0, 2, 1) @ a
-    dg = np.einsum("rjj->rj", gram).real
-    pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
-    del gram
     idx = np.arange(n)
-    pd[:, idx, idx] = dg
-    p_msg = np.ascontiguousarray(dg.T)
-    p_decoy = np.ascontiguousarray(pd.reshape(k, n * n).T)
-    del pd
-    return p_msg, p_decoy, decoy_amplitudes(a)
+    p_msg = np.empty((n, k))
+    p_decoy = np.empty((n * n, k))
+    for lo, blk in _outcome_blocks(a):
+        hi = lo + len(blk)
+        gram = blk.conj().transpose(0, 2, 1) @ blk
+        dg = np.einsum("rjj->rj", gram).real
+        pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
+        pd[:, idx, idx] = dg
+        p_msg[:, lo:hi] = dg.T
+        p_decoy[:, lo:hi] = pd.reshape(hi - lo, n * n).T
+    weights = np.empty((k, n, n))
+    f = induced_fidelity_closed(a, out=weights)
+    return p_msg, p_decoy, weights.reshape(k, n * n).T, f
 
 
 def _check_complete(rows: np.ndarray, what: str) -> None:
@@ -229,11 +236,11 @@ def run_protocol(
     if not 0.0 <= decoy_fraction <= 1.0:
         raise ValueError(f"decoy fraction {decoy_fraction} outside [0, 1]")
 
-    p_msg, p_decoy, amp = _pair_tables(attack)
+    p_msg, p_decoy, weights, f = _pair_tables(attack)
     _check_complete(p_msg, "message words")
     _check_complete(p_decoy, "decoys")
     g_analytic, guesses = estimation_fidelity(attack)
-    d_analytic = 1.0 - pairing_fidelity(amp)
+    d_analytic = 1.0 - f
 
     rng = np.random.default_rng(seed)
     n_dec = int(rng.binomial(shots, decoy_fraction))
@@ -257,9 +264,9 @@ def run_protocol(
         detected = 0
         for rows, r, count in _cells(rng, p_decoy, pairs):
             p_r = p_decoy.ravel().take(rows * k + r)
-            # amp is the transpose of a C-ordered (K, n^2) array: index that flat layout, not a copy
-            a_r = amp.T.ravel().take(r * amp.shape[0] + rows)
-            intact = np.where(p_r > 0, np.abs(a_r) ** 2 / np.where(p_r > 0, p_r, 1.0), 1.0)
+            # weights is the transpose of a C-ordered (K, n^2) array: index that flat layout, not a copy
+            w_r = weights.T.ravel().take(r * weights.shape[0] + rows)
+            intact = np.where(p_r > 0, w_r / np.where(p_r > 0, p_r, 1.0), 1.0)
             detect = _snap_unit(1.0 - intact)
             if sample_bob:
                 detected += int(np.sum(rng.binomial(count, detect)))

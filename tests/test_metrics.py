@@ -23,13 +23,11 @@ from qdecoy import metrics
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     banaszek_bound,
-    decoy_amplitudes,
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
-    pairing_fidelity,
     spectral_quantities,
 )
 
@@ -190,6 +188,35 @@ class TestEstimationFidelity:
                 assert_allclose(_guess_weights(m, got), weights, rtol=0, atol=1e-15)
                 assert_allclose(g, weights.sum() / n, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16, 32])
+    def test_blocks_equal_the_whole_stack_sum(self, n, monkeypatch):
+        # G and the guesses are bit for bit those of one einsum over the whole
+        # stack, in blocks of 128 KiB and in blocks of 3 outcomes
+        stacks = [random_attack(n, outcomes=k, seed=n + k) for k in (1, n, n * n, n * n + 3)]
+        for outcomes in (None, 3):
+            if outcomes:
+                _small_blocks(monkeypatch, n, outcomes)
+            for m in stacks:
+                d = np.einsum("rij,rij->rj", m.ops.conj(), m.ops).real
+                guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - metrics._TIE, axis=1)
+                g, got = estimation_fidelity(m)
+                assert_array_equal(got, guesses)
+                assert g == d[np.arange(len(d)), guesses].sum() / n
+
+    def test_holds_no_conjugated_stack(self):
+        # the (K, n) weights and about one block of temporaries (1.05 blocks
+        # measured); the whole-stack einsum holds a conjugated copy, 1.03 stacks
+        m = random_attack(32, seed=1)
+        estimation_fidelity(m)
+        tracemalloc.start()
+        try:
+            estimation_fidelity(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k, n, _ = m.ops.shape
+        assert peak < 8 * k * n + 2 * metrics._OUTCOME_BLOCK_BYTES
+
     def test_random_attacks_stay_in_range(self):
         for seed in range(20):
             m = random_attack(3, seed=seed)
@@ -229,56 +256,86 @@ class TestFunctionalEquivalence:
                 )
 
 
+def _reference_amplitudes(a):
+    """amp[j*n + k, r] = <phi_jk|A_r|phi_jk> as one complex expression over the whole stack."""
+    k, n, _ = a.shape
+    diag = np.einsum("rjj->rj", a)
+    amp = 0.5 * (diag[:, :, None] + diag[:, None, :] + 1j * (a - a.transpose(0, 2, 1)))
+    idx = np.arange(n)
+    amp[:, idx, idx] = diag
+    return amp.reshape(k, n * n).T
+
+
+def _weight_table(a):
+    """The (n^2, K) squared decoy amplitudes that induced_fidelity_closed keeps, and its F."""
+    k, n, _ = a.shape
+    w = np.empty((k, n, n))
+    f = induced_fidelity_closed(a, out=w)
+    return w.reshape(k, n * n).T, f
+
+
+def _small_blocks(monkeypatch, n, outcomes):
+    """Blocks of `outcomes` outcomes at dimension n, so small stacks cross block edges."""
+    monkeypatch.setattr(metrics, "_OUTCOME_BLOCK_BYTES", outcomes * 16 * n * n)
+
+
 class TestClosedForm:
     def test_amplitudes_are_decoy_overlaps(self):
+        # the kernel's weights are the squared overlaps |<phi_jk|A_r|phi_jk>|^2
         for n in (2, 3, 4):
             m = random_attack(n, outcomes=5, seed=n)
-            amp = decoy_amplitudes(m.ops)
-            assert amp.shape == (n * n, 5)
+            w, _ = _weight_table(m.ops)
+            assert w.shape == (n * n, 5)
             for j in range(n):
                 for k in range(n):
                     ket = decoy_ket(j, k, n)
-                    want = [ket.conj() @ op @ ket for op in m.ops]
-                    assert_allclose(amp[j * n + k], want, rtol=0, atol=1e-15)
-
-    @staticmethod
-    def _reference_amplitudes(a):
-        """The amplitudes as one complex expression, the form `decoy_amplitudes` must round like."""
-        k, n, _ = a.shape
-        diag = np.einsum("rjj->rj", a)
-        amp = 0.5 * (diag[:, :, None] + diag[:, None, :] + 1j * (a - a.transpose(0, 2, 1)))
-        idx = np.arange(n)
-        amp[:, idx, idx] = diag
-        return amp.reshape(k, n * n).T
+                    want = [abs(ket.conj() @ op @ ket) ** 2 for op in m.ops]
+                    assert_allclose(w[j * n + k], want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_amplitudes_equal_the_complex_expression(self, n):
-        for k in (1, n, n * n, n * n + 3):
-            a = random_attack(n, outcomes=k, seed=n + k).ops
-            assert_array_equal(decoy_amplitudes(a), self._reference_amplitudes(a))
-        for m in (optimal_attack(n, 0.6), projective_attack(n), identity_attack(n)):
-            assert_array_equal(decoy_amplitudes(m.ops), self._reference_amplitudes(m.ops))
+    def test_amplitudes_equal_the_complex_expression(self, n, monkeypatch):
+        # every weight is |amp|^2 of the one complex expression, bit for bit, in
+        # whole-stack blocks and in blocks of 3 outcomes, kept in a table or not
+        stacks = [random_attack(n, outcomes=k, seed=n + k).ops for k in (1, n, n * n, n * n + 3)]
+        stacks += [m.ops for m in (optimal_attack(n, 0.6), projective_attack(n), identity_attack(n))]
+        for outcomes in (None, 3):
+            if outcomes:
+                _small_blocks(monkeypatch, n, outcomes)
+            for a in stacks:
+                want = np.abs(_reference_amplitudes(a)) ** 2
+                assert_array_equal(_weight_table(a)[0], want)
+                fresh = np.concatenate(list(metrics._decoy_weights(a)))
+                assert_array_equal(fresh.reshape(len(a), n * n).T, want)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_amplitudes_hold_no_stack_sized_temporary(self, n):
-        # the (K, n, n) result and a few block-sized temporaries; the complex
-        # expression over the whole stack peaks at 2.0 to 2.1 stacks
+        # filling a given table holds a few block-sized temporaries (4.0 blocks
+        # measured); the complex expression over the whole stack peaks at 2.0
+        # to 2.1 stacks
         a = random_attack(n, seed=1).ops
-        decoy_amplitudes(a)
+        w = np.empty(a.shape)
+        induced_fidelity_closed(a, out=w)
         tracemalloc.start()
         try:
-            decoy_amplitudes(a)
+            induced_fidelity_closed(a, out=w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < a.nbytes + 4 * metrics._AMP_BLOCK_BYTES
+        assert peak < 5 * metrics._OUTCOME_BLOCK_BYTES
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_blocked_sum_equals_the_table(self, n):
+    def test_blocked_sum_equals_the_table(self, n, monkeypatch):
+        # F is the same sum, to the bit, whether or not the weights are kept,
+        # and it is the table's mean over the pairs
         stacks = [random_attack(n, outcomes=k, seed=n + k).ops for k in (1, n, n * n, n * n + 3)]
         stacks += [m.ops for m in _named_attacks(n)]
-        for a in stacks:
-            assert abs(induced_fidelity_closed(a) - pairing_fidelity(decoy_amplitudes(a))) <= 1e-15
+        for outcomes in (None, 3):
+            if outcomes:
+                _small_blocks(monkeypatch, n, outcomes)
+            for a in stacks:
+                w, f = _weight_table(a)
+                assert f == induced_fidelity_closed(a)
+                assert_allclose(f, w.sum() / (n * n), rtol=0, atol=1e-15)
 
     def test_closed_form_builds_no_amplitude_table(self):
         # a few block-sized temporaries; the (K, n, n) table alone is one stack

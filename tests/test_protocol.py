@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdecoy import protocol
+from qdecoy import metrics, protocol
 from qdecoy.attacks import (
     GeneralizedMeasurement,
     identity_attack,
     optimal_attack,
+    parse_descriptor,
     probabilistic_attack,
     projective_attack,
     random_attack,
@@ -25,6 +26,7 @@ from qdecoy.protocol import (
     _sample_outcomes,
     run_protocol,
 )
+from qdecoy.tradeoff import attack_point
 
 
 def _sample_rows(table, rows, u):
@@ -79,7 +81,7 @@ class TestSampler:
     def test_matches_reference_on_every_family(self):
         rng = np.random.default_rng(0)
         for m in _sampler_attacks():
-            p_msg, p_decoy, _ = _pair_tables(m)
+            p_msg, p_decoy, *_ = _pair_tables(m)
             for table in (p_msg, p_decoy):
                 rows = rng.integers(0, table.shape[0], size=1500)
                 u = rng.random(1500)
@@ -172,7 +174,7 @@ class TestSampler:
     def test_single_row(self):
         rng = np.random.default_rng(1)
         for m in (projective_attack(3), random_attack(4, seed=2), optimal_attack(2, 0.75)):
-            p_msg, p_decoy, _ = _pair_tables(m)
+            p_msg, p_decoy, *_ = _pair_tables(m)
             for probs in (*p_msg, *p_decoy):
                 for u in rng.random((4, 1)):
                     got = _sample_outcomes(probs[None, :], np.array([0]), u)
@@ -360,8 +362,7 @@ class TestRunProtocol:
                 d_def = 1.0 - induced_fidelity(m, pairing_ensemble(n))
                 assert_allclose(rep.g_analytic, g_def, rtol=0, atol=1e-12)
                 assert_allclose(rep.d_analytic, d_def, rtol=0, atol=1e-12)
-                d_closed = 1.0 - induced_fidelity_closed(m.ops)
-                assert_allclose(rep.d_analytic, d_closed, rtol=0, atol=1e-15)
+                assert rep.d_analytic == 1.0 - induced_fidelity_closed(m.ops)
 
     def test_seeded_report_pinned(self):
         # recorded from the count sampler (stream 0.2.0, unchanged in 0.2.1): dense message rows, sparse decoy rows
@@ -440,7 +441,7 @@ class TestRunProtocol:
         # every table entry from its definition on the decoy ket
         for m in (random_attack(3, outcomes=4, seed=2), probabilistic_attack(3, 0.3)):
             n = m.dim
-            p_msg, p_decoy, amp = _pair_tables(m)
+            p_msg, p_decoy, weights, f = _pair_tables(m)
             for r, op in enumerate(m.ops):
                 gram = op.conj().T @ op
                 assert_allclose(p_msg[:, r], np.diag(gram).real, rtol=0, atol=1e-15)
@@ -448,7 +449,56 @@ class TestRunProtocol:
                     ket = pairing_ensemble(n).items[j * n + k][1]
                     want_p = (ket.conj() @ gram @ ket).real
                     assert_allclose(p_decoy[j * n + k, r], want_p, rtol=0, atol=1e-15)
-                    assert_allclose(amp[j * n + k, r], ket.conj() @ op @ ket, rtol=0, atol=1e-15)
+                    assert_allclose(weights[j * n + k, r], abs(ket.conj() @ op @ ket) ** 2, rtol=0, atol=1e-15)
+            assert f == induced_fidelity_closed(m.ops)
+
+    @pytest.mark.parametrize("outcomes", [None, 3])
+    def test_blocked_tables_equal_the_whole_stack_tables(self, outcomes, monkeypatch):
+        # the probability tables are bit for bit those of one Gram product over
+        # the whole stack, which the seeded stream was recorded with
+        for m in _sampler_attacks():
+            a = m.ops
+            k, n, _ = a.shape
+            if outcomes:
+                monkeypatch.setattr(metrics, "_OUTCOME_BLOCK_BYTES", outcomes * 16 * n * n)
+            gram = a.conj().transpose(0, 2, 1) @ a
+            dg = np.einsum("rjj->rj", gram).real
+            pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
+            pd[:, np.arange(n), np.arange(n)] = dg
+            p_msg, p_decoy, *_ = _pair_tables(m)
+            np.testing.assert_array_equal(p_msg, dg.T, err_msg=m.descriptor)
+            np.testing.assert_array_equal(p_decoy, pd.reshape(k, n * n).T, err_msg=m.descriptor)
+
+    def test_pair_tables_hold_no_stack_sized_temporary(self):
+        # the three tables and a few block-sized temporaries (5.5 blocks
+        # measured); a whole-stack Gram product and its conjugated operand
+        # would add two stacks, 32 MiB here
+        m = random_attack(32, seed=1)
+        tables = _pair_tables(m)
+        held = sum(t.nbytes for t in tables[:3])
+        tracemalloc.start()
+        try:
+            _pair_tables(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 8 * metrics._OUTCOME_BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "random(n=24,k=24,seed=0)",
+            "optimal(n=24,g=0.1375)",
+            "random(n=16,k=259,seed=275)",
+            "random(n=32,seed=1)",
+            "projective(n=7)",
+            "prob(n=5,p=0.3)",
+        ],
+    )
+    def test_d_analytic_is_the_evaluators_d(self, descriptor):
+        # simulate and verify print the same D for an attack, to the last bit
+        m = parse_descriptor(descriptor)
+        assert run_protocol(m.dim, m, shots=10, seed=0).d_analytic == attack_point(m).d
 
     def test_argument_guards(self):
         m = identity_attack(2)
