@@ -43,7 +43,6 @@ from .tradeoff import (
     attack_point,
     disturbance_bound,
     optimize_attack,
-    saturation_gap,
     sweep_random,
 )
 
@@ -132,12 +131,35 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _named_families(n: int) -> tuple[list, list]:
-    """The named-family grid: (attacks to certify, optimal-family g grid)."""
+    """The named-family grid: (attacks to certify, optimal-family g grid).
+
+    The attacks end with optimal_attack(n, g) for each g of the grid, in
+    grid order.
+    """
     g_grid = [float(g) for g in np.linspace(1.0 / n, 1.0, 11)]
     named = [projective_attack(n), identity_attack(n)]
     named += [probabilistic_attack(n, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
     named += [optimal_attack(n, g) for g in g_grid]
     return named, g_grid
+
+
+class _CrossCheck:
+    """Runs every oracle route on certified attacks and keeps the largest residuals."""
+
+    def __init__(self, n: int):
+        self.pairing = pairing_ensemble(n)
+        self.g = 0.0  # |G_def - G_functional|
+        self.f = 0.0  # |F_def - F_functional|
+        self.closed = 0.0  # |F_closed - F_def|
+
+    def __call__(self, m, p) -> float:
+        """Check attack m against the point that certified it; returns its F_functional."""
+        self.g = max(self.g, abs(p.g - estimation_fidelity_functional(m)))
+        f_def = induced_fidelity(m, self.pairing)
+        f_functional = induced_fidelity_functional(m)
+        self.f = max(self.f, abs(f_def - f_functional))
+        self.closed = max(self.closed, abs((1.0 - p.d) - f_def))
+        return f_functional
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -158,35 +180,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if p.margin < _NOISE:
                 failures.append(f"named attack below bound: {p.source} margin={p.margin!r}")
 
-        gaps = [saturation_gap(args.n, g) for g in g_grid]
+        cross = _CrossCheck(args.n)
+        f_named = [cross(m, p) for m, p in zip(named, named_points)]
+        # the saturation gap reads D from the functional route on the optimal attacks
+        f_optimal = f_named[-len(g_grid):]
+        gaps = [abs((1.0 - f) - disturbance_bound(g, args.n)) for g, f in zip(g_grid, f_optimal)]
         max_gap = max(gaps)
         if max_gap > _SATURATION_TOL:
             worst = g_grid[int(np.argmax(gaps))]
             failures.append(f"saturation gap {max_gap!r} at g={worst!r} exceeds {_sci(_SATURATION_TOL)}")
 
-        # each cross-checked attack with the point that certified it
-        checked = list(zip(named, named_points))
         min_sweep = None
         if args.trials > 0:
-            # the sweep's first ten attacks are also checked on every route
-            swept_points, min_sweep, swept = sweep_random(args.n, args.trials, seed=args.seed)
-            checked += zip(swept, swept_points)
+            # the sweep hands its first ten attacks to the cross-check as it certifies them
+            _, min_sweep = sweep_random(args.n, args.trials, seed=args.seed, check=cross)
 
-        pairing = pairing_ensemble(args.n)
-        res_g = 0.0
-        res_f = 0.0
-        res_closed = 0.0
-        for m, p in checked:
-            res_g = max(res_g, abs(p.g - estimation_fidelity_functional(m)))
-            f_def = induced_fidelity(m, pairing)
-            res_f = max(res_f, abs(f_def - induced_fidelity_functional(m)))
-            res_closed = max(res_closed, abs((1.0 - p.d) - f_def))
-        if res_g > _G_ROUTE_TOL:
-            failures.append(f"estimation functional residual {res_g!r} exceeds {_sci(_G_ROUTE_TOL)}")
-        if res_f > _F_ROUTE_TOL:
-            failures.append(f"fidelity functional residual {res_f!r} exceeds {_sci(_F_ROUTE_TOL)}")
-        if res_closed > _F_ROUTE_TOL:
-            failures.append(f"closed-form fidelity residual {res_closed!r} exceeds {_sci(_F_ROUTE_TOL)}")
+        if cross.g > _G_ROUTE_TOL:
+            failures.append(f"estimation functional residual {cross.g!r} exceeds {_sci(_G_ROUTE_TOL)}")
+        if cross.f > _F_ROUTE_TOL:
+            failures.append(f"fidelity functional residual {cross.f!r} exceeds {_sci(_F_ROUTE_TOL)}")
+        if cross.closed > _F_ROUTE_TOL:
+            failures.append(f"closed-form fidelity residual {cross.closed!r} exceeds {_sci(_F_ROUTE_TOL)}")
     except BoundViolation as exc:
         print(f"verify: FAIL ({exc})")
         return 1
@@ -196,9 +210,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"min margin (random sweep): {min_sweep:.6e}")
     print(f"min margin (named families): {min_named:.6e}")
     print(f"max saturation gap (11-point optimal grid): {max_gap:.6e}")
-    print(f"max |G_def - G_functional|: {res_g:.6e}")
-    print(f"max |F_def - F_functional|: {res_f:.6e}")
-    print(f"max |F_closed - F_def|: {res_closed:.6e}")
+    print(f"max |G_def - G_functional|: {cross.g:.6e}")
+    print(f"max |F_def - F_functional|: {cross.f:.6e}")
+    print(f"max |F_closed - F_def|: {cross.closed:.6e}")
     if failures:
         for f in failures:
             print(f"verify: FAIL ({f})")

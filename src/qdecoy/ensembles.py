@@ -24,14 +24,24 @@ _UNIT_TOL = 1e-12
 class Ensemble:
     """Finite ensemble of pure states: items are (weight, unit ket) pairs.
 
-    Construction also stacks them once, as the read-only arrays `weights`
-    (length N) and `kets` (N, dim), which the definition sum reads.
+    Construction also stacks them once, as read-only arrays: `weights`
+    (length N) and `kets` (N, dim), and the nonzero entries of each state's
+    vector conj(phi) ⊗ phi, which the definition sum reads. Row i of
+    `support` (N, w) holds vec indices a*dim + b over the pairs of nonzero
+    positions a, b of ket i, and row i of `coef` (N, w) the entries
+    conj(phi_a) phi_b there; w is the widest state's count, and narrower
+    rows are padded with zero coefficients. A decoy of the pairing ensemble
+    touches two basis states, so w = 4 there; dense kets give w = dim^2.
+    Both come from each ket's nonzero positions, never from an (N, dim^2)
+    table.
     """
 
     dim: int
     items: tuple
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     kets: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.array([w for w, _ in self.items], dtype=float)
@@ -43,7 +53,17 @@ class Ensemble:
             if abs(np.linalg.norm(ket) - 1.0) > _UNIT_TOL:
                 raise ValueError("ket is not normalized")
         kets = np.array([ket for _, ket in self.items], dtype=complex)
-        for name, arr in (("weights", weights), ("kets", kets)):
+        nonzero = kets != 0
+        counts = nonzero.sum(axis=1, keepdims=True)
+        s = int(counts.max())
+        # each row's nonzero positions first, in index order; the padding
+        # positions past a row's count get zero amplitude
+        pos = np.argsort(~nonzero, axis=1, kind="stable")[:, :s]
+        amp = np.take_along_axis(kets, pos, axis=1)
+        amp[np.arange(s) >= counts] = 0
+        support = (pos[:, :, None] * self.dim + pos[:, None, :]).reshape(len(kets), s * s)
+        coef = (amp.conj()[:, :, None] * amp[:, None, :]).reshape(len(kets), s * s)
+        for name, arr in (("weights", weights), ("kets", kets), ("support", support), ("coef", coef)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

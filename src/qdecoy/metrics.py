@@ -18,8 +18,10 @@ The other routes compute the same numbers another way and serve only as
 oracles for `verify` and the tests:
 
 - the definition sum induced_fidelity, over the states of any Ensemble: each
-  amplitude <phi|A_r|phi> is vec(A_r) . (conj(phi) ⊗ phi), so a block of
-  states costs one (K, n^2) @ (n^2, B) product, with B bounded by a byte cap;
+  amplitude <phi|A_r|phi> is vec(A_r) . (conj(phi) ⊗ phi), read on the w
+  nonzero entries of conj(phi) ⊗ phi that the ensemble keeps (w = 4 for the
+  pairing decoys), so N states cost O(K N w), a block of outcomes at a
+  time with the block bounded by a byte cap;
 - the linear functionals of the attack's state operator $: G is a trace
   against the block-diagonal operator € built from the per-outcome guesses
   j_(r), which reduces to squared vec components, so $ is never built
@@ -42,11 +44,9 @@ from .ensembles import Ensemble
 _TIE = 1e-12
 #: off-diagonal entries above this make an outcome non-diagonal for spectral_quantities
 _DIAGONAL_TOL = 1e-10
-#: bytes of temporaries per block of ensemble states in induced_fidelity. A
-#: block of a few dozen states (2 MiB at n = 64) is too few columns for the
-#: product to keep up with one outcome at a time when K = n; 16 MiB holds
-#: over 100 states up to n = 64 and K = n^2
-_ORACLE_BLOCK_BYTES = 16 * 2**20
+#: bytes of temporaries per block of outcomes in induced_fidelity: 1 MiB
+#: keeps them in cache and holds 4 outcomes of the 4096 pairing decoys at n = 64
+_ORACLE_BLOCK_BYTES = 2**20
 #: bytes of Kraus operators per block of outcomes (_outcome_blocks); small
 #: blocks keep the temporaries of G, F and the protocol's tables in cache and
 #: out of the peak
@@ -122,25 +122,32 @@ def induced_fidelity_closed(a: np.ndarray, out: np.ndarray | None = None) -> flo
 def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
     """F from the definition: sum_i p_i sum_r |<phi_i|A_r|phi_i>|^2.
 
-    <phi|A|phi> = vec(A) . (conj(phi) ⊗ phi), so each block of ensemble
-    states is one (K, n^2) @ (n^2, B) product, with its temporaries bounded
-    by _ORACLE_BLOCK_BYTES.
+    <phi|A|phi> = vec(A) . (conj(phi) ⊗ phi), and the ensemble keeps only
+    the w nonzero entries of each conj(phi) ⊗ phi (`support`, `coef`), so
+    the N amplitudes of one outcome are w gathers of its vec components,
+    each scaled by one coefficient per state: O(K N w) in all. Outcomes go
+    a block at a time, so each block's vec rows stay in cache while every
+    state reads them, with the block's temporaries bounded by
+    _ORACLE_BLOCK_BYTES (one outcome's, if those alone are larger).
     """
     if e.dim != m.dim:
         raise ValueError(f"ensemble dimension {e.dim} != measurement dimension {m.dim}")
     n, k = m.dim, len(m.ops)
-    weights, kets = e.weights, e.kets
     vecs = m.ops.reshape(k, n * n)
-    # bytes per state, at most: its complex n^2 column, plus K complex
-    # amplitudes and their K moduli, or K moduli and their K squares
-    block = max(1, _ORACLE_BLOCK_BYTES // (16 * n * n + 24 * k))
-    total = 0.0
-    for start in range(0, len(kets), block):
-        ket = kets[start:start + block]
-        cols = (ket.conj()[:, :, None] * ket[:, None, :]).reshape(len(ket), n * n)
-        per_state = np.sum(np.abs(vecs @ cols.T) ** 2, axis=0)
-        total += float(weights[start:start + block] @ per_state)
-    return total
+    support, coef = e.support, e.coef
+    # bytes per outcome, at most: N complex amplitudes, and the N vec
+    # components of one slot with their N products
+    step = max(1, _ORACLE_BLOCK_BYTES // (48 * len(e.weights)))
+    per_state = np.zeros(len(e.weights))
+    for lo in range(0, k, step):
+        blk = vecs[lo:lo + step]
+        amp = blk[:, support[:, 0]] * coef[:, 0]
+        for slot in range(1, support.shape[1]):
+            amp += blk[:, support[:, slot]] * coef[:, slot]
+        w = np.abs(amp)
+        per_state += np.sum(np.square(w, out=w), axis=0)
+        del amp, w  # freed before the next block's are made
+    return float(e.weights @ per_state)
 
 
 def induced_fidelity_functional(m: GeneralizedMeasurement) -> float:

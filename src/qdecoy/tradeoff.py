@@ -18,6 +18,7 @@ and curve never load scipy.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from .metrics import estimation_fidelity, induced_fidelity_closed, induced_fidel
 _NOISE = -1e-9
 #: largest float-noise offset of an estimation fidelity from its range or target
 _G_TOL = 1e-9
-#: random attacks, a sweep's first ones, that sweep_random also returns
+#: random attacks, a sweep's first ones, that sweep_random hands to its `check`
 _KEPT = 10
 #: floor on a diagonal entry before water-filling, so a zero can still be scaled up
 _DIAG_FLOOR = 1e-300
@@ -121,29 +122,33 @@ def trial_seed(seed: int, t: int) -> int:
 
 
 def sweep_random(
-    n: int, trials: int, seed: int = 0
-) -> tuple[list[TradeoffPoint], float, list[GeneralizedMeasurement]]:
+    n: int,
+    trials: int,
+    seed: int = 0,
+    check: Callable[[GeneralizedMeasurement, TradeoffPoint], object] | None = None,
+) -> tuple[list[TradeoffPoint], float]:
     """Certify the bound on `trials` seeded random attacks.
 
-    Returns all evaluated points, the minimum margin and the first
-    min(trials, _KEPT) attacks, so a caller can check them further without
-    building them again.
-    Margins below _NOISE raise BoundViolation (the bound is proven, so that
-    is an implementation bug, not a counterexample).
+    Returns all evaluated points and the minimum margin. A margin below
+    _NOISE raises BoundViolation (the bound is proven, so that is an
+    implementation bug, not a counterexample). Given `check`, the sweep
+    calls check(attack, point) on each of its first min(trials, _KEPT)
+    attacks right after certifying it, so a caller can check them further
+    without building them again. The sweep keeps no attack: it lets go of
+    each one before it draws the next.
     """
     check_dim(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    points, kept = [], []
+    points = []
     for t in range(trials):
         m = random_attack(n, seed=trial_seed(seed, t))
         points.append(attack_point(m))
-        if t < _KEPT:
-            kept.append(m)
-        del m  # an attack that is not kept is freed before the next one is drawn
-    for p in points:
-        _check_margin(p)
-    return points, min(p.margin for p in points), kept
+        _check_margin(points[-1])
+        if check is not None and t < _KEPT:
+            check(m, points[-1])
+        del m  # freed before the next attack is drawn
+    return points, min(p.margin for p in points)
 
 
 def _pin_diagonal(d: np.ndarray, target: float, n: int) -> np.ndarray | None:

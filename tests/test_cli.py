@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,6 @@ class TestVerify:
         assert "verify: FAIL (closed-form fidelity residual" in capsys.readouterr().out
 
     def test_failure_lines_name_each_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setattr("qdecoy.cli.saturation_gap", lambda n, g: 1.0)
         monkeypatch.setattr("qdecoy.cli.estimation_fidelity_functional", lambda m: 2.0)
         monkeypatch.setattr("qdecoy.cli.induced_fidelity_functional", lambda m: 2.0)
         self._lower_closed_form(monkeypatch)
@@ -158,6 +158,21 @@ class TestVerify:
             swept = [m for m in checked if m.descriptor.startswith("random(")]
             assert len(swept) == min(trials, 10)
             assert all(a is b for a, b in zip(swept, built))
+
+    def test_sweep_holds_one_attack_at_a_time(self):
+        main(["verify", "--n", "8", "--trials", "2", "--seed", "1"])  # the parser and caches, outside the peaks
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main(["verify", "--n", "8", "--trials", str(trials), "--seed", "1"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # ten cross-checked attacks, each freed before the next is drawn
+        one_attack = 8**2 * 8 * 8 * 16  # random(n=8): K = 64 complex 8 x 8 operators
+        assert peak(12) <= peak(2) + one_attack
 
     def test_each_attack_is_evaluated_once(self, monkeypatch):
         calls = []

@@ -1,5 +1,7 @@
 """Message/decoy ensembles and the tamper test."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -163,10 +165,45 @@ class TestEnsembleArrays:
             npt.assert_array_equal(e.weights, [w for w, _ in e.items])
             npt.assert_array_equal(e.kets, [ket for _, ket in e.items])
             assert e.kets.shape == (len(e.items), e.dim)
-            for arr in (e.weights, e.kets):
+            for arr in (e.weights, e.kets, e.support, e.coef):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0
+
+    def test_support_and_coef_hold_each_state_vector(self):
+        # the dense conj(phi) ⊗ phi of every state, rebuilt from its nonzero entries
+        for e in (ensembles.pairing_ensemble(3), _canonical_ensemble(4), self._random_ensemble(4, 7, seed=0)):
+            n = e.dim
+            assert e.support.shape == e.coef.shape
+            dense = np.zeros((len(e.items), n * n), dtype=complex)
+            for row, (idx, c) in enumerate(zip(e.support, e.coef)):
+                np.add.at(dense[row], idx, c)
+            want = np.array([np.kron(ket.conj(), ket) for _, ket in e.items])
+            npt.assert_array_equal(dense, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_pairing_states_have_width_four(self, n):
+        e = ensembles.pairing_ensemble(n)
+        assert e.support.shape == e.coef.shape == (n * n, 4)
+        nonzero = np.count_nonzero(e.coef, axis=1).reshape(n, n)
+        # |j> itself on the diagonal, (|j> + i|k>)/sqrt(2) off it
+        npt.assert_array_equal(np.diag(nonzero), 1)
+        assert np.all(nonzero[~np.eye(n, dtype=bool)] == 4)
+
+    def test_random_kets_are_dense(self):
+        e = self._random_ensemble(3, 5, seed=1)
+        assert e.support.shape == (5, 9)
+        npt.assert_array_equal(e.support, np.tile(np.arange(9), (5, 1)))
+
+    def test_pairing_build_makes_no_table_of_every_vector(self):
+        # an (N, n^2) complex table would be 256 MiB at n = 64
+        tracemalloc.start()
+        try:
+            ensembles.pairing_ensemble(64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_definition_sum_reads_the_arrays(self, n):

@@ -441,18 +441,18 @@ class TestInducedFidelity:
             for e in ensembles:
                 assert_allclose(induced_fidelity(m, e), _induced_fidelity_by_outcome(m, e), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("states", [1, 3, 16])
-    def test_blocks_that_do_not_divide_the_states(self, monkeypatch, states):
+    @pytest.mark.parametrize("outcomes", [1, 3, 16])
+    def test_blocks_that_do_not_divide_the_outcomes(self, monkeypatch, outcomes):
         n, k = 4, 5
         m = random_attack(n, outcomes=k, seed=2)
-        monkeypatch.setattr(metrics, "_ORACLE_BLOCK_BYTES", states * (16 * n * n + 24 * k))
-        # 16 and 7 states: blocks of 3 leave one over; unequal weights catch a misaligned block
+        # blocks of 3 outcomes leave one block short; 16 holds all 5
         for e in (pairing_ensemble(n), _custom_ensemble(n, 5)):
+            monkeypatch.setattr(metrics, "_ORACLE_BLOCK_BYTES", outcomes * 48 * len(e.items))
             assert_allclose(induced_fidelity(m, e), _induced_fidelity_by_outcome(m, e), rtol=0, atol=1e-14)
 
     def test_block_temporaries_are_bounded(self):
-        # 409 decoys per block; one product over all 1024 would hold 16 MiB of
-        # columns, 16 MiB of amplitudes and 8 MiB of their moduli
+        # 21 outcomes per block; all 1024 at once would hold 16 MiB of
+        # amplitudes and 32 MiB of gathered components and their products
         m = random_attack(32, seed=1)
         e = pairing_ensemble(32)
         tracemalloc.start()
@@ -461,8 +461,9 @@ class TestInducedFidelity:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kets = 32 * 32 * 32 * 16
-        assert peak <= kets + metrics._ORACLE_BLOCK_BYTES + 2**16
+        per_state = 8 * len(e.items)  # each state's running sum
+        ufunc_buffer = 8192 * 16  # numpy's buffer for the broadcast products
+        assert peak <= metrics._ORACLE_BLOCK_BYTES + per_state + ufunc_buffer + 2**16
 
 
 class TestFunctionalMatrices:

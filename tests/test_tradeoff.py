@@ -1,5 +1,6 @@
 """Tests for the disturbance bound, attack certification, and the optimizer."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -108,7 +109,7 @@ class TestSaturationGap:
 
 class TestSweepRandom:
     def test_margins_nonnegative(self):
-        points, min_margin, _ = sweep_random(2, trials=25, seed=0)
+        points, min_margin = sweep_random(2, trials=25, seed=0)
         assert len(points) == 25
         assert min_margin >= -1e-9
         assert min_margin == min(p.margin for p in points)
@@ -120,7 +121,7 @@ class TestSweepRandom:
             "qdecoy.tradeoff.random_attack",
             lambda n, seed=0: injected if seed == last_seed else random_attack(n, seed=seed),
         )
-        points, min_margin, _ = sweep_random(2, trials=10, seed=0)
+        points, min_margin = sweep_random(2, trials=10, seed=0)
         last = points[-1]
         assert last.source == "prob(n=2,p=0.5)"
         assert_allclose(last.g, 0.75, rtol=0, atol=1e-12)
@@ -129,11 +130,12 @@ class TestSweepRandom:
         assert min_margin >= -1e-9
 
     def test_deterministic(self):
-        a = sweep_random(3, trials=8, seed=42)
-        b = sweep_random(3, trials=8, seed=42)
-        assert a[:2] == b[:2]
-        for ma, mb in zip(a[2], b[2], strict=True):
-            assert_array_equal(ma.ops, mb.ops)
+        ops_a, ops_b = [], []
+        a = sweep_random(3, trials=8, seed=42, check=lambda m, p: ops_a.append(m.ops))
+        b = sweep_random(3, trials=8, seed=42, check=lambda m, p: ops_b.append(m.ops))
+        assert a == b
+        for ma, mb in zip(ops_a, ops_b, strict=True):
+            assert_array_equal(ma, mb)
         c = sweep_random(3, trials=8, seed=43)
         assert c[0] != a[0]
 
@@ -144,17 +146,34 @@ class TestSweepRandom:
             6635463128224577688,
             18279110831140952437,
         ]
-        points, _, _ = sweep_random(2, trials=3, seed=7)
+        points, _ = sweep_random(2, trials=3, seed=7)
         for t, p in enumerate(points):
             assert p == attack_point(random_attack(2, seed=trial_seed(7, t)))
 
-    def test_keeps_the_first_attacks(self):
-        points, _, kept = sweep_random(2, trials=12, seed=7)
-        assert len(kept) == 10
-        for t, m in enumerate(kept):
-            assert_array_equal(m.ops, random_attack(2, seed=trial_seed(7, t)).ops)
-            assert attack_point(m) == points[t]
-        assert len(sweep_random(2, trials=2, seed=7)[2]) == 2
+    def test_check_sees_the_first_attacks_with_their_points(self):
+        for trials in (2, 12):
+            seen = []
+            points, _ = sweep_random(2, trials=trials, seed=7, check=lambda m, p: seen.append((m.ops.copy(), p)))
+            assert len(seen) == min(trials, 10)
+            for t, (ops, p) in enumerate(seen):
+                assert_array_equal(ops, random_attack(2, seed=trial_seed(7, t)).ops)
+                assert p is points[t]
+
+    def test_check_sees_each_attack_freed_before_the_next_is_drawn(self, monkeypatch):
+        refs = []
+
+        def build(n, seed=0):
+            # every attack handed out so far is dead before the next one is built
+            assert all(r() is None for r in refs)
+            return random_attack(n, seed=seed)
+
+        def check(m, p):
+            refs.append(weakref.ref(m))
+
+        monkeypatch.setattr("qdecoy.tradeoff.random_attack", build)
+        sweep_random(2, trials=12, seed=7, check=check)
+        assert len(refs) == 10
+        assert all(r() is None for r in refs)
 
     def test_broken_attack_raises(self, monkeypatch):
         bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
@@ -178,7 +197,7 @@ class TestSweepRandom:
 
     def test_margin_within_noise_passes(self, monkeypatch):
         self._margin_pinned_at(monkeypatch, -1e-10)
-        _, min_margin, _ = sweep_random(2, trials=3, seed=0)
+        _, min_margin = sweep_random(2, trials=3, seed=0)
         assert min_margin == -1e-10
 
     def test_argument_guards(self):
