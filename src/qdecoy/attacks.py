@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ZERO_NORM, check_dim, inv_sqrt_psd
+from .linalg import DEFAULT_TOL, ZERO_NORM, check_dim, frobenius_norms, inv_sqrt_psd
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ class GeneralizedMeasurement:
         """Raise unless this is a well-formed complete measurement."""
         if not len(self.ops):
             raise ValueError("measurement has no outcomes")
-        zero = np.flatnonzero(_norms(self.ops) < ZERO_NORM)
+        zero = np.flatnonzero(frobenius_norms(self.ops) < ZERO_NORM)
         if zero.size:
             raise ValueError(f"outcome {zero[0]}: zero operator")
         self._check_complete()
@@ -100,16 +100,6 @@ def _whiten(b: np.ndarray, s_inv_sqrt: np.ndarray) -> np.ndarray:
     return (b.reshape(-1, b.shape[-1]) @ s_inv_sqrt).reshape(b.shape)
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each operator in a complex (K, m, n) stack.
-
-    The squares are summed over a real view of each operator, so no array
-    the size of the stack is made.
-    """
-    parts = np.ascontiguousarray(a).reshape(len(a), -1).view(np.float64)
-    return np.sqrt(np.einsum("ri,ri->r", parts, parts))
-
-
 def from_kraus(ops) -> GeneralizedMeasurement:
     """Validated measurement from a nonempty list of uniform square operators.
 
@@ -132,7 +122,7 @@ def _from_family(ops, descriptor: str, gram: np.ndarray | None = None) -> Genera
     change it.
     """
     a = np.asarray(ops, dtype=complex)
-    keep = _norms(a) >= ZERO_NORM
+    keep = frobenius_norms(a) >= ZERO_NORM
     dropped = int(keep.size - keep.sum())
     if dropped:
         log.info("%s: dropped %d zero-probability outcome(s)", descriptor, dropped)
@@ -206,6 +196,8 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     k = n * n if outcomes is None else int(outcomes)
     if k < 1:
         raise ValueError("need at least one outcome")
+    if seed < 0:  # numpy's generators reject it with a message that names no seed
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     for attempt in range(8):
         rng = np.random.default_rng([seed, attempt])
         # one draw of the real parts, then the imaginary parts: the stream of two draws,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ZERO_NORM, is_hermitian, partial_trace, psd_check
+from .linalg import DEFAULT_TOL, ZERO_NORM, frobenius_norms, is_hermitian, partial_trace, psd_check
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ def choi_of_kraus(kraus) -> ChoiState:
     if a.ndim != 3:
         raise ValueError(f"Kraus set must be a (K, m, n) stack, got shape {a.shape}")
     k, m, n = a.shape
-    v = a.reshape(k, m * n)
-    vc = v.conj()
-    if np.any(np.sqrt(np.einsum("ri,ri->r", vc, v).real) < ZERO_NORM):
+    if np.any(frobenius_norms(a) < ZERO_NORM):
         raise ValueError("zero Kraus operator")
-    return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ vc)
+    v = a.reshape(k, m * n)
+    return ChoiState(dim_out=m, dim_in=n, matrix=v.T @ v.conj())
 
 
 def apply_channel(choi: ChoiState, rho: np.ndarray) -> np.ndarray:

@@ -15,6 +15,12 @@ DEFAULT_TOL = 1e-9
 ZERO_NORM = 1e-12
 
 
+def frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each operator in a complex (K, m, n) stack, summed over a real view: no copy."""
+    parts = np.ascontiguousarray(a).reshape(len(a), -1).view(np.float64)
+    return np.sqrt(np.einsum("ri,ri->r", parts, parts))
+
+
 def check_dim(n: int) -> None:
     """Raise unless n is a channel dimension, n >= 2."""
     if n < 2:

@@ -8,11 +8,11 @@ overlap the forwarded state keeps with a decoy, averaged over the pairing
 ensemble; the receiver catches tampering with probability D = 1 - F.
 
 The evaluator works on the attack's (K, n, n) Kraus array `ops` in
-O(K n^2), one block of outcomes at a time: estimation_fidelity for G, and
-induced_fidelity_closed for F, which sums the squared decoy amplitudes
-|<phi_jk|A_r|phi_jk>|^2 and can keep them in a table for the protocol.
-attack_point, the certification sweep and the protocol's analytic values
-all use it.
+O(K n^2), one block of outcomes at a time: estimation_fidelity for G, from
+the diagonal weights <j|A_r†A_r|j>, and induced_fidelity_closed for F, which
+sums the squared decoy amplitudes |<phi_jk|A_r|phi_jk>|^2. Each can keep its
+table for the protocol. attack_point, the certification sweep and the
+protocol's analytic values all use it.
 
 The other routes compute the same numbers another way and serve only as
 oracles for `verify` and the tests:
@@ -61,10 +61,13 @@ def _outcome_blocks(a: np.ndarray):
         yield lo, a[lo : lo + step]
 
 
-def estimation_fidelity(m: GeneralizedMeasurement) -> tuple[float, np.ndarray]:
-    """G from the definition, the mean best diagonal weight per outcome, and each guess j_(r)."""
+def estimation_fidelity(m: GeneralizedMeasurement, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """G from the definition, the mean best diagonal weight per outcome, and each guess j_(r).
+
+    The weights d[r, j] = <j|A_r†A_r|j> are kept in `out`, a real (K, n) table, when one is given.
+    """
     a = m.ops
-    d = np.empty(a.shape[:2])  # d[r, j] = <j|A_r†A_r|j>
+    d = np.empty(a.shape[:2]) if out is None else out
     for lo, blk in _outcome_blocks(a):
         d[lo : lo + len(blk)] = np.einsum("rij,rij->rj", blk.conj(), blk).real
     guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - _TIE, axis=1)

@@ -23,11 +23,12 @@ least K trials draws them with one multinomial over the row; each trial of a
 sparser row draws a uniform and runs a vectorized binary search in the row's
 CDF, log2(K) steps. g_hat and d_hat are sums over the occupied cells,
 weighted by their counts. The per-state tables are O(n^2 K) and built once,
-a block of outcomes at a time; d_analytic is the sum of the decoy weights
-in them, so it is the evaluator's D to the bit. A sparse row holds fewer
-than K trials, so sampling costs O(n^2 K) at any shot count, and the rows go
-in blocks of about _BLOCK_BYTES, so beyond the tables memory does not grow
-with shots. The block layout is part of the seeded stream.
+a block of outcomes at a time, by the evaluator's kernels: the message rows
+are the weights g_analytic is read from and d_analytic sums the decoy
+weights, so both are the evaluator's G and D to the bit. A sparse row holds
+fewer than K trials, so sampling costs O(n^2 K) at any shot count, and the
+rows go in blocks of about _BLOCK_BYTES, so beyond the tables memory does
+not grow with shots. The block layout is part of the seeded stream.
 """
 
 from __future__ import annotations
@@ -84,34 +85,31 @@ class SimReport:
     d_within_4se: bool | None
 
 
-def _pair_tables(m: GeneralizedMeasurement) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Per-state outcome tables p_msg[j, r], p_decoy[s, r], w[s, r], and F.
+def _pair_tables(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-pair outcome tables p_decoy[s, r], w[s, r], and F, from a (K, n, n) Kraus stack.
 
     s runs over ordered pairs (j, k) flattened as j*n + k; w is the squared
     amplitude |<phi_jk|A_r|phi_jk>|^2 the decoy keeps, filled by
     induced_fidelity_closed in the pass that sums it to F. With
-    G_r = A_r†A_r, the decoy probability is (G_jj + G_kk)/2 - Im G_jk, and
-    G_jj on the diagonal. Every table is O(K n^2) and built one block of
-    outcomes at a time straight from `ops`, so beyond the tables the build
-    holds a few block-sized temporaries, never a (K, n, n) one, and the
-    simulator never materializes ensembles or n^4 functional matrices.
+    G_r = A_r†A_r and d[r, j] = <j|G_r|j> from estimation_fidelity, the
+    decoy probability is (d_j + d_k)/2 - Im G_jk, and d_j on the diagonal;
+    Im G = M - M^T for the real product M = Re(A)^T Im(A). Each table is
+    O(K n^2) and built one block of outcomes at a time, so beyond the tables
+    the build holds a few block-sized temporaries, never a (K, n, n) one.
     """
-    a = m.ops
     k, n, _ = a.shape
     idx = np.arange(n)
-    p_msg = np.empty((n, k))
     p_decoy = np.empty((n * n, k))
     for lo, blk in _outcome_blocks(a):
         hi = lo + len(blk)
-        gram = blk.conj().transpose(0, 2, 1) @ blk
-        dg = np.einsum("rjj->rj", gram).real
-        pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
+        dg = d[lo:hi]
+        prod = blk.real.transpose(0, 2, 1) @ blk.imag
+        pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - (prod - prod.transpose(0, 2, 1))
         pd[:, idx, idx] = dg
-        p_msg[:, lo:hi] = dg.T
         p_decoy[:, lo:hi] = pd.reshape(hi - lo, n * n).T
     weights = np.empty((k, n, n))
     f = induced_fidelity_closed(a, out=weights)
-    return p_msg, p_decoy, weights.reshape(k, n * n).T, f
+    return p_decoy, weights.reshape(k, n * n).T, f
 
 
 def _check_complete(rows: np.ndarray, what: str) -> None:
@@ -129,8 +127,8 @@ def _snap_unit(q: np.ndarray) -> np.ndarray:
 
 
 def _normalized(table: np.ndarray) -> np.ndarray:
-    """A fresh copy of `table` with entries clamped at 0 and each row summing to 1."""
-    p = np.maximum(table, 0.0)
+    """Fresh C-ordered copy of `table`, clamped at 0, rows summing to 1: a transposed p_msg sums alike."""
+    p = np.maximum(table, 0.0, order="C")
     p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -236,10 +234,12 @@ def run_protocol(
     if not 0.0 <= decoy_fraction <= 1.0:
         raise ValueError(f"decoy fraction {decoy_fraction} outside [0, 1]")
 
-    p_msg, p_decoy, weights, f = _pair_tables(attack)
+    d = np.empty(attack.ops.shape[:2])
+    g_analytic, guesses = estimation_fidelity(attack, out=d)
+    p_msg = d.T  # message words are sampled from the weights G is read from
+    p_decoy, weights, f = _pair_tables(attack.ops, d)
     _check_complete(p_msg, "message words")
     _check_complete(p_decoy, "decoys")
-    g_analytic, guesses = estimation_fidelity(attack)
     d_analytic = 1.0 - f
 
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdecoy import attacks
+from qdecoy import attacks, linalg
 from qdecoy.linalg import inv_sqrt_psd
 
 
@@ -57,10 +57,10 @@ class TestFromKraus:
     def test_norms_match_linalg_norm(self):
         for m in (attacks.random_attack(3, outcomes=7, seed=2), attacks.projective_attack(4)):
             want = np.linalg.norm(m.ops.reshape(len(m.ops), -1), axis=1)
-            npt.assert_allclose(attacks._norms(m.ops), want, rtol=1e-15, atol=0)
-        npt.assert_array_equal(attacks._norms(np.zeros((2, 3, 3), dtype=complex)), [0.0, 0.0])
+            npt.assert_allclose(linalg.frobenius_norms(m.ops), want, rtol=1e-15, atol=0)
+        npt.assert_array_equal(linalg.frobenius_norms(np.zeros((2, 3, 3), dtype=complex)), [0.0, 0.0])
         # a strided view is read as its copy
-        npt.assert_allclose(attacks._norms(np.eye(4, dtype=complex)[None, ::2, ::2]), [np.sqrt(2.0)])
+        npt.assert_allclose(linalg.frobenius_norms(np.eye(4, dtype=complex)[None, ::2, ::2]), [np.sqrt(2.0)])
 
     def test_projective_set_coefficient_norm(self):
         n = 4

@@ -256,6 +256,13 @@ class TestSimulate:
         assert main(["simulate", "--attack", "identity(n=2)"]) == 2
         capsys.readouterr()
 
+    def test_negative_descriptor_seed_fails_in_one_line(self, capsys):
+        # the descriptor's seed is checked like --seed, not left to numpy's generator
+        assert main(["simulate", "--attack", "random(n=2,seed=-1)", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be nonnegative, got -1\n"
+
     def test_repeated_descriptor_argument(self, capsys):
         for text in ("optimal(n=4,g=0.5,g=0.7)", "random(n=3,k=4,k=5,seed=1)"):
             assert main(["simulate", "--attack", text, "--seed", "0"]) == 2

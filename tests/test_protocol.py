@@ -65,6 +65,13 @@ def _assert_no_zero_outcome(table, rows, u, got):
     assert np.all(table[rows, got] > 0)
 
 
+def _tables(m):
+    """p_msg, p_decoy, w and F as run_protocol builds them: p_msg is estimation_fidelity's table, transposed."""
+    d = np.empty(m.ops.shape[:2])
+    estimation_fidelity(m, out=d)
+    return (d.T, *_pair_tables(m.ops, d))
+
+
 def _sampler_attacks():
     for n in range(2, 9):
         yield identity_attack(n)
@@ -81,7 +88,7 @@ class TestSampler:
     def test_matches_reference_on_every_family(self):
         rng = np.random.default_rng(0)
         for m in _sampler_attacks():
-            p_msg, p_decoy, *_ = _pair_tables(m)
+            p_msg, p_decoy, *_ = _tables(m)
             for table in (p_msg, p_decoy):
                 rows = rng.integers(0, table.shape[0], size=1500)
                 u = rng.random(1500)
@@ -92,7 +99,7 @@ class TestSampler:
     def test_uniforms_on_cdf_entries(self):
         # u equal to a CDF entry is where "count of entries <= u" is decided by ties
         for m in _sampler_attacks():
-            for table in _pair_tables(m)[:2]:
+            for table in _tables(m)[:2]:
                 rows, u = _uniforms_on_entries(table)
                 got = _sample_outcomes(table, rows, u)
                 np.testing.assert_array_equal(got, _sample_rows(table, rows, u), err_msg=m.descriptor)
@@ -174,7 +181,7 @@ class TestSampler:
     def test_single_row(self):
         rng = np.random.default_rng(1)
         for m in (projective_attack(3), random_attack(4, seed=2), optimal_attack(2, 0.75)):
-            p_msg, p_decoy, *_ = _pair_tables(m)
+            p_msg, p_decoy, *_ = _tables(m)
             for probs in (*p_msg, *p_decoy):
                 for u in rng.random((4, 1)):
                     got = _sample_outcomes(probs[None, :], np.array([0]), u)
@@ -441,7 +448,7 @@ class TestRunProtocol:
         # every table entry from its definition on the decoy ket
         for m in (random_attack(3, outcomes=4, seed=2), probabilistic_attack(3, 0.3)):
             n = m.dim
-            p_msg, p_decoy, weights, f = _pair_tables(m)
+            p_msg, p_decoy, weights, f = _tables(m)
             for r, op in enumerate(m.ops):
                 gram = op.conj().T @ op
                 assert_allclose(p_msg[:, r], np.diag(gram).real, rtol=0, atol=1e-15)
@@ -454,31 +461,62 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("outcomes", [None, 3])
     def test_blocked_tables_equal_the_whole_stack_tables(self, outcomes, monkeypatch):
-        # the probability tables are bit for bit those of one Gram product over
-        # the whole stack, which the seeded stream was recorded with
+        # bit for bit the tables of the whole stack at once: p_msg is the
+        # diagonal-weight sum G is read from, p_decoy the real-product formula;
+        # both within 1e-15 of the complex Gram product A_r†A_r
         for m in _sampler_attacks():
             a = m.ops
             k, n, _ = a.shape
+            idx = np.arange(n)
             if outcomes:
                 monkeypatch.setattr(metrics, "_OUTCOME_BLOCK_BYTES", outcomes * 16 * n * n)
+            d = np.einsum("rij,rij->rj", a.conj(), a).real
+            prod = a.real.transpose(0, 2, 1) @ a.imag
+            pd = 0.5 * (d[:, :, None] + d[:, None, :]) - (prod - prod.transpose(0, 2, 1))
+            pd[:, idx, idx] = d
+            p_msg, p_decoy, *_ = _tables(m)
+            np.testing.assert_array_equal(p_msg, d.T, err_msg=m.descriptor)
+            np.testing.assert_array_equal(p_decoy, pd.reshape(k, n * n).T, err_msg=m.descriptor)
             gram = a.conj().transpose(0, 2, 1) @ a
             dg = np.einsum("rjj->rj", gram).real
             pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - gram.imag
-            pd[:, np.arange(n), np.arange(n)] = dg
-            p_msg, p_decoy, *_ = _pair_tables(m)
-            np.testing.assert_array_equal(p_msg, dg.T, err_msg=m.descriptor)
-            np.testing.assert_array_equal(p_decoy, pd.reshape(k, n * n).T, err_msg=m.descriptor)
+            pd[:, idx, idx] = dg
+            assert_allclose(p_msg, dg.T, rtol=0, atol=1e-15, err_msg=m.descriptor)
+            assert_allclose(p_decoy, pd.reshape(k, n * n).T, rtol=0, atol=1e-15, err_msg=m.descriptor)
+
+    def test_message_rows_are_sampled_from_estimation_fidelitys_table(self, monkeypatch):
+        # one G evaluation per run, and its diagonal weights are the message table itself
+        outs, tables = [], []
+
+        def spy(m, out=None):
+            outs.append(out)
+            return estimation_fidelity(m, out=out)
+
+        def cells(rng, table, trials):
+            tables.append(table)
+            return _cells(rng, table, trials)
+
+        monkeypatch.setattr(protocol, "estimation_fidelity", spy)
+        monkeypatch.setattr(protocol, "_cells", cells)
+        run_protocol(3, random_attack(3, seed=1), shots=2000, seed=0)
+        assert len(outs) == 1 and outs[0] is not None
+        assert len(tables) == 2 and tables[0].base is outs[0]
+        np.testing.assert_array_equal(tables[0], outs[0].T)
+        assert not np.shares_memory(tables[1], outs[0])
 
     def test_pair_tables_hold_no_stack_sized_temporary(self):
-        # the three tables and a few block-sized temporaries (5.5 blocks
-        # measured); a whole-stack Gram product and its conjugated operand
-        # would add two stacks, 32 MiB here
+        # the two tables and a few block-sized temporaries (5.0 blocks
+        # measured); a whole-stack real product would add a stack of reals,
+        # 8 MiB here, and a complex Gram product with its conjugated operand
+        # two complex stacks
         m = random_attack(32, seed=1)
-        tables = _pair_tables(m)
-        held = sum(t.nbytes for t in tables[:3])
+        d = np.empty(m.ops.shape[:2])
+        estimation_fidelity(m, out=d)
+        tables = _pair_tables(m.ops, d)
+        held = sum(t.nbytes for t in tables[:2])
         tracemalloc.start()
         try:
-            _pair_tables(m)
+            _pair_tables(m.ops, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
