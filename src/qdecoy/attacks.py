@@ -225,7 +225,9 @@ def diagonal_attack(rows) -> GeneralizedMeasurement:
 
     The entries a_rj must satisfy completeness sum_r |a_rj|^2 = 1 per level j,
     which forces the total coefficient norm sum |a_rj|^2 = n. For a diagonal
-    stack sum_r A_r†A_r = diag(sum_r |a_rj|^2), so validate() checks exactly that.
+    stack sum_r A_r†A_r = diag(sum_r |a_rj|^2), so the completeness check is
+    exactly that. A zero row is an outcome that never fires; like the
+    families, it is dropped.
     """
     a = np.asarray(rows, dtype=complex)
     if a.ndim != 2:
@@ -233,9 +235,7 @@ def diagonal_attack(rows) -> GeneralizedMeasurement:
     k, n = a.shape
     ops = np.zeros((k, n, n), dtype=complex)
     ops[:, np.arange(n), np.arange(n)] = a
-    m = GeneralizedMeasurement(ops, f"diagonal(n={n},k={k})")
-    m.validate()
-    return m
+    return _from_family(ops, f"diagonal(n={n},k={k})")
 
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-z]+)\s*\(\s*([^()]*)\s*\)\s*$")

@@ -38,9 +38,9 @@ from .ensembles import pairing_ensemble
 from .linalg import check_dim
 from .protocol import run_protocol
 from .tradeoff import (
-    _NOISE,
     BoundViolation,
-    attack_point,
+    attack_point,  # not called here; qdbench/tracing.py wraps qdecoy.cli.attack_point
+    certify,
     disturbance_bound,
     optimize_attack,
     sweep_random,
@@ -130,17 +130,14 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return _write_output(json.dumps(obj, indent=2) + "\n", args.out)
 
 
-def _named_families(n: int) -> tuple[list, list]:
-    """The named-family grid: (attacks to certify, optimal-family g grid).
-
-    The attacks end with optimal_attack(n, g) for each g of the grid, in
-    grid order.
-    """
-    g_grid = [float(g) for g in np.linspace(1.0 / n, 1.0, 11)]
-    named = [projective_attack(n), identity_attack(n)]
-    named += [probabilistic_attack(n, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    named += [optimal_attack(n, g) for g in g_grid]
-    return named, g_grid
+def _named_attacks(n: int, g_grid: list[float]):
+    """The 18 named attacks, one at a time, ending with optimal_attack(n, g) over g_grid."""
+    yield projective_attack(n)
+    yield identity_attack(n)
+    for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+        yield probabilistic_attack(n, p)
+    for g in g_grid:
+        yield optimal_attack(n, g)
 
 
 class _CrossCheck:
@@ -151,15 +148,15 @@ class _CrossCheck:
         self.g = 0.0  # |G_def - G_functional|
         self.f = 0.0  # |F_def - F_functional|
         self.closed = 0.0  # |F_closed - F_def|
+        self.f_functional: list[float] = []  # each checked attack's F_functional, in order
 
-    def __call__(self, m, p) -> float:
-        """Check attack m against the point that certified it; returns its F_functional."""
+    def __call__(self, m, p) -> None:
+        """Check attack m against the point that certified it."""
         self.g = max(self.g, abs(p.g - estimation_fidelity_functional(m)))
         f_def = induced_fidelity(m, self.pairing)
-        f_functional = induced_fidelity_functional(m)
-        self.f = max(self.f, abs(f_def - f_functional))
+        self.f_functional.append(induced_fidelity_functional(m))
+        self.f = max(self.f, abs(f_def - self.f_functional[-1]))
         self.closed = max(self.closed, abs((1.0 - p.d) - f_def))
-        return f_functional
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -171,19 +168,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials > 0 and args.seed is None:
         return _usage("--seed is required when --trials > 0")
 
-    named, g_grid = _named_families(args.n)
+    g_grid = [float(g) for g in np.linspace(1.0 / args.n, 1.0, 11)]
     failures: list[str] = []
     try:
-        named_points = [attack_point(m) for m in named]
-        min_named = min(p.margin for p in named_points)
-        for p in named_points:
-            if p.margin < _NOISE:
-                failures.append(f"named attack below bound: {p.source} margin={p.margin!r}")
-
         cross = _CrossCheck(args.n)
-        f_named = [cross(m, p) for m, p in zip(named, named_points)]
+        min_named = min(p.margin for p in certify(_named_attacks(args.n, g_grid), cross))
         # the saturation gap reads D from the functional route on the optimal attacks
-        f_optimal = f_named[-len(g_grid):]
+        f_optimal = cross.f_functional[-len(g_grid):]
         gaps = [abs((1.0 - f) - disturbance_bound(g, args.n)) for g, f in zip(g_grid, f_optimal)]
         max_gap = max(gaps)
         if max_gap > _SATURATION_TOL:

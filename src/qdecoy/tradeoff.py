@@ -18,7 +18,7 @@ and curve never load scipy.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,17 +108,38 @@ def saturation_gap(n: int, g: float) -> float:
     return abs(d - disturbance_bound(g, n))
 
 
-def _check_margin(point: TradeoffPoint) -> None:
-    if point.margin < _NOISE:
-        raise BoundViolation(
-            f"attack {point.source!r} lands {-point.margin:.3e} below the proven bound "
-            f"(G={point.g!r}, D={point.d!r}); this indicates a broken attack or metric"
-        )
-
-
 def trial_seed(seed: int, t: int) -> int:
     """Seed of random attack t in a sweep seeded with `seed`."""
     return int(np.random.SeedSequence(entropy=[int(seed), t]).generate_state(1, np.uint64)[0])
+
+
+def certify(
+    attacks: Iterable[GeneralizedMeasurement],
+    check: Callable[[GeneralizedMeasurement, TradeoffPoint], object] | None = None,
+    checked: int | None = None,
+) -> list[TradeoffPoint]:
+    """Certify the bound on each attack that `attacks` yields; returns their points.
+
+    A margin below _NOISE raises BoundViolation (the bound is proven, so that
+    is an implementation bug, not a counterexample). Given `check`, it calls
+    check(attack, point) on the first `checked` attacks (all of them when
+    None) right after certifying each, so a caller can check them further
+    without building them again. It lets go of each attack before it pulls
+    the next.
+    """
+    points = []
+    for m in attacks:  # not enumerate: its cached tuple would keep the last attack alive
+        p = attack_point(m)
+        if p.margin < _NOISE:
+            raise BoundViolation(
+                f"attack {p.source!r} lands {-p.margin:.3e} below the proven bound "
+                f"(G={p.g!r}, D={p.d!r}); this indicates a broken attack or metric"
+            )
+        points.append(p)
+        if check is not None and (checked is None or len(points) <= checked):
+            check(m, p)
+        del m  # freed before the next attack is pulled
+    return points
 
 
 def sweep_random(
@@ -129,25 +150,15 @@ def sweep_random(
 ) -> tuple[list[TradeoffPoint], float]:
     """Certify the bound on `trials` seeded random attacks.
 
-    Returns all evaluated points and the minimum margin. A margin below
-    _NOISE raises BoundViolation (the bound is proven, so that is an
-    implementation bug, not a counterexample). Given `check`, the sweep
-    calls check(attack, point) on each of its first min(trials, _KEPT)
-    attacks right after certifying it, so a caller can check them further
-    without building them again. The sweep keeps no attack: it lets go of
-    each one before it draws the next.
+    Returns all evaluated points and the minimum margin. Attacks are drawn
+    one at a time and certified as in `certify`, which hands the first
+    min(trials, _KEPT) of them to `check`.
     """
     check_dim(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    points = []
-    for t in range(trials):
-        m = random_attack(n, seed=trial_seed(seed, t))
-        points.append(attack_point(m))
-        _check_margin(points[-1])
-        if check is not None and t < _KEPT:
-            check(m, points[-1])
-        del m  # freed before the next attack is drawn
+    drawn = (random_attack(n, seed=trial_seed(seed, t)) for t in range(trials))
+    points = certify(drawn, check, checked=_KEPT)
     return points, min(p.margin for p in points)
 
 
@@ -269,7 +280,8 @@ def optimize_attack(
     nonnegative grid a_jr (level j, outcome r), under unit row norms
     (completeness), pinned sum_r a_rr^2 = n*g_target, and a_rr >= a_jr so the
     per-outcome guess is r. Each restart's result is projected onto the exact
-    feasible set before comparison. Returns the best point and its attack.
+    feasible set and scored by attack_point. Returns the best point and its
+    attack.
     """
     check_dim(n)
     g_target = float(g_target)
@@ -283,25 +295,19 @@ def optimize_attack(
         m = replace(projective_attack(n), descriptor=source)
         return attack_point(m), m
 
-    best: tuple[float, np.ndarray] | None = None
-    bound = disturbance_bound(g_target, n)
+    best: tuple[TradeoffPoint, GeneralizedMeasurement] | None = None
     for k in range(restarts):
         raw = _search_once(n, g_target, iters, np.random.default_rng([seed, k]))
         a = _polish(raw, n, g_target)
         if a is None:
             continue
-        g_def = float((a ** 2).max(axis=0).sum()) / n
-        if abs(g_def - g_target) > _G_TOL:
+        m = replace(diagonal_attack(a.T), descriptor=source)
+        p = attack_point(m)
+        # a margin below noise is only reachable through float pathology in the pin
+        if abs(p.g - g_target) > _G_TOL or p.margin < _NOISE:
             continue
-        col = a.sum(axis=0)
-        d_val = 0.5 - float(col @ col) / (2 * n * n)
-        if d_val < bound + _NOISE:
-            # only reachable through float pathology in the pin; not a candidate
-            continue
-        if best is None or d_val < best[0]:
-            best = (d_val, a)
+        if best is None or p.d < best[0].d:
+            best = (p, m)
     if best is None:
         raise RuntimeError(f"no feasible candidate found at (n={n}, g={g_target})")
-    a = best[1]
-    m = replace(diagonal_attack(a.T), descriptor=source)
-    return attack_point(m), m
+    return best

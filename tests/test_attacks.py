@@ -305,6 +305,10 @@ class TestDiagonalAttack:
         for a, b in zip(m.ops, ref.ops):
             npt.assert_allclose(a, b, atol=1e-14)
 
+    def test_zero_rows_are_dropped(self):
+        m = attacks.diagonal_attack([np.ones(2), [0.0, 1e-13]])
+        npt.assert_array_equal(m.ops, [np.eye(2)])
+
     def test_norm_and_completeness_guards(self):
         with pytest.raises(ValueError):
             attacks.diagonal_attack([np.ones(3) * 0.5])

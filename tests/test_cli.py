@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,35 @@ class TestVerify:
         # ten cross-checked attacks, each freed before the next is drawn
         one_attack = 8**2 * 8 * 8 * 16  # random(n=8): K = 64 complex 8 x 8 operators
         assert peak(12) <= peak(2) + one_attack
+
+    def test_each_named_attack_is_freed_before_the_next_is_built(self, monkeypatch):
+        refs = []
+
+        def alone(build):
+            def wrapped(*args):
+                # every named attack handed out so far is dead before the next one is built
+                assert all(r() is None for r in refs)
+                return build(*args)
+
+            return wrapped
+
+        def oracle(m, e):
+            assert all(r() is None for r in refs)
+            refs.append(weakref.ref(m))
+            return induced_fidelity(m, e)
+
+        for name in ("projective_attack", "identity_attack", "probabilistic_attack", "optimal_attack"):
+            monkeypatch.setattr(cli, name, alone(getattr(cli, name)))
+        monkeypatch.setattr("qdecoy.cli.induced_fidelity", oracle)
+        assert main(["verify", "--n", "2"]) == 0
+        assert len(refs) == 18
+
+    def test_named_attack_below_bound_fails_in_one_line(self, capsys, monkeypatch):
+        # D 0.1 below its true value: the first named attack, the full readout, lands below the bound
+        monkeypatch.setattr("qdecoy.tradeoff.induced_fidelity_closed", lambda a: induced_fidelity_closed(a) + 0.1)
+        assert main(["verify", "--n", "2"]) == 1
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("verify: FAIL (attack 'projective(n=2)' lands 1.000e-01 below the proven bound ")
 
     def test_each_attack_is_evaluated_once(self, monkeypatch):
         calls = []

@@ -278,6 +278,35 @@ class TestOptimizeAttack:
         assert point.d <= 5e-4
         assert point.d >= -1e-9
 
+    def test_projection_makes_iteration_limited_restarts_feasible(self, monkeypatch):
+        # near g = 1/n SLSQP exhausts its iterations; only _polish makes the grid feasible
+        from scipy import optimize
+
+        statuses = []
+        minimize = optimize.minimize
+
+        def spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr("scipy.optimize.minimize", spy)
+        point, m = optimize_attack(5, 0.201, restarts=1, seed=0)
+        assert statuses == [9]  # SciPy's SLSQP status for "Iteration limit reached"
+        assert_allclose(point.g, 0.201, rtol=0, atol=1e-9)
+        assert point.margin >= -1e-9
+        m.validate()
+
+    def test_a_restart_may_leave_an_outcome_without_weight(self, monkeypatch):
+        # outcome 1 of this feasible grid never fires: the attack keeps outcomes 0 and 2
+        grid = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        monkeypatch.setattr(tradeoff, "_search_once", lambda n, g, iters, rng: grid)
+        point, m = optimize_attack(3, 2 / 3, restarts=1, seed=0)
+        assert len(m.ops) == 2
+        assert_allclose(point.g, 2 / 3, rtol=0, atol=1e-12)
+        assert_allclose(point.d, 2 / 9, rtol=0, atol=1e-12)
+        m.validate()
+
     def test_full_readout_is_projective(self):
         point, m = optimize_attack(4, 1.0, seed=0)
         assert point.d == 0.375
