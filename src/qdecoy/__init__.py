@@ -40,13 +40,11 @@ from .attacks import (
     random_attack,
 )
 from .metrics import (
-    banaszek_bound,
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
-    spectral_quantities,
 )
 from .tradeoff import (
     BoundViolation,
@@ -59,7 +57,7 @@ from .tradeoff import (
 )
 from .protocol import SimReport, run_protocol
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 __all__ = [
     "DEFAULT_TOL",
@@ -91,8 +89,6 @@ __all__ = [
     "induced_fidelity",
     "induced_fidelity_closed",
     "induced_fidelity_functional",
-    "spectral_quantities",
-    "banaszek_bound",
     "TradeoffPoint",
     "BoundViolation",
     "disturbance_bound",

@@ -59,9 +59,10 @@ _G_ROUTE_TOL = 1e-12
 _F_ROUTE_TOL = 1e-10
 #: curve's largest grid; 1e6 points took 13 s and 1 GB as JSON
 _POINTS_CAP = 100_000
-#: optimize's largest n, which bounds the cost of one restart, not of the run:
-#: one SLSQP restart at g = 0.5 took 7.0 s at n = 24 and 47 s at n = 32, and a
-#: run costs --restarts of them (the default 16 at n = 32: about 12 minutes)
+#: optimize's largest n, until a peak-cost estimate replaces it. The restarts
+#: ascend together, so a run's cost grows with --restarts: at n = 24, g = 0.5
+#: the default 16 took 10.3 s and 65 MB as a whole process, and 4 took 2.6 s
+#: and 44 MB (2-core machine, one BLAS thread)
 _OPTIMIZE_N_CAP = 24
 
 
@@ -292,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--n", type=int, required=True, help="channel dimension (2..24)")
     optimize.add_argument("--g", type=float, required=True, help="estimation fidelity target in [1/n, 1]")
     optimize.add_argument("--restarts", type=int, default=16)
-    optimize.add_argument("--iters", type=int, default=2000)
+    optimize.add_argument("--iters", type=int, default=2000, help="most polar steps in one ascent (default 2000)")
     optimize.add_argument("--seed", type=int, required=True)
     optimize.add_argument("--out", default=None, help="output path (atomic write); default stdout")
     optimize.set_defaults(func=cmd_optimize)

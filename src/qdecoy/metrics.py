@@ -12,7 +12,8 @@ O(K n^2), one block of outcomes at a time: estimation_fidelity for G, from
 the diagonal weights <j|A_r†A_r|j>, and induced_fidelity_closed for F, which
 sums the squared decoy amplitudes |<phi_jk|A_r|phi_jk>|^2. Each can keep its
 table for the protocol. attack_point, the certification sweep and the
-protocol's analytic values all use it.
+protocol's analytic values all use it, and the search in `tradeoff` reads
+F's gradient from the same decoy amplitudes (_decoy_amplitudes).
 
 The other routes compute the same numbers another way and serve only as
 oracles for `verify` and the tests:
@@ -27,9 +28,11 @@ oracles for `verify` and the tests:
   j_(r), which reduces to squared vec components, so $ is never built
   (estimation_fidelity_functional); F = Tr(L $) for a fixed n^2 x n^2
   operator L, whose O(n^2) nonzero entries are the only entries of $ the
-  trace reads (induced_fidelity_functional);
-- for attacks with diagonal Kraus operators, the spectral sums
-  (spectral_quantities), with G = g/n and D = 1/2 - f/(2n^2) exactly.
+  trace reads (induced_fidelity_functional).
+
+The paper's sums for diagonal attacks, with G = g/n and D = 1/2 - f/(2n^2),
+and its coefficient-vector bound on f live in tests/test_metrics.py, their
+only caller.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .ensembles import Ensemble
 
 #: diagonal weights within this of an outcome's largest tie; the lowest index wins
 _TIE = 1e-12
-#: off-diagonal entries above this make an outcome non-diagonal for spectral_quantities
-_DIAGONAL_TOL = 1e-10
 #: bytes of temporaries per block of outcomes in induced_fidelity: 1 MiB
 #: keeps them in cache and holds 4 outcomes of the 4096 pairing decoys at n = 64
 _ORACLE_BLOCK_BYTES = 2**20
@@ -88,23 +89,30 @@ def estimation_fidelity_functional(m: GeneralizedMeasurement) -> float:
     return float(np.sum(np.abs(np.take_along_axis(vecs, idx, axis=1)) ** 2) / n)
 
 
+def _decoy_amplitudes(a: np.ndarray) -> np.ndarray:
+    """The decoy amplitudes of a (K, n, n) Kraus stack: entry [r, j, k] is <phi_jk|A_r|phi_jk>.
+
+    With phi_jk = (|j> + i|k>)/sqrt(2) the amplitude is
+    (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where the
+    decoy is |j> itself.
+    """
+    idx = np.arange(a.shape[1])
+    d = np.einsum("rjj->rj", a)
+    amp = 0.5 * (d[:, :, None] + d[:, None, :] + 1j * (a - a.transpose(0, 2, 1)))
+    amp[:, idx, idx] = d
+    return amp
+
+
 def _decoy_weights(a: np.ndarray, out: np.ndarray | None = None):
     """Yield the squared decoy amplitudes of a (K, n, n) Kraus stack one block of outcomes at a time.
 
-    Block entry [r, j, k] is |<phi_jk|A_r|phi_jk>|^2. With
-    phi_jk = (|j> + i|k>)/sqrt(2) the amplitude is
-    (A_jj + A_kk + i A_jk - i A_kj)/2, and A_jj on the diagonal, where the
-    decoy is |j> itself. Each block's squares are written into its rows of
-    `out`, a real (K, n, n) table, when one is given, else into a new array;
-    every entry is the same expression whatever the block.
+    Block entry [r, j, k] is |<phi_jk|A_r|phi_jk>|^2 (_decoy_amplitudes).
+    Each block's squares are written into its rows of `out`, a real
+    (K, n, n) table, when one is given, else into a new array; every entry
+    is the same expression whatever the block.
     """
-    n = a.shape[1]
-    idx = np.arange(n)
     for lo, blk in _outcome_blocks(a):
-        d = np.einsum("rjj->rj", blk)
-        amp = 0.5 * (d[:, :, None] + d[:, None, :] + 1j * (blk - blk.transpose(0, 2, 1)))
-        amp[:, idx, idx] = d
-        w = np.abs(amp, out=None if out is None else out[lo : lo + len(blk)])
+        w = np.abs(_decoy_amplitudes(blk), out=None if out is None else out[lo : lo + len(blk)])
         yield np.square(w, out=w)
 
 
@@ -172,34 +180,3 @@ def induced_fidelity_functional(m: GeneralizedMeasurement) -> float:
     singlets = dollar[jk, jk].sum() + dollar[kj, kj].sum() - dollar[jk, kj].sum() - dollar[kj, jk].sum()
     beta_block = dollar[np.ix_(rep, rep)].sum()
     return float(dollar[rep, rep].sum() / (2 * n) + (beta_block + singlets) / (2 * n * n))
-
-
-def spectral_quantities(m: GeneralizedMeasurement) -> tuple[float, float]:
-    """(g, f) for attacks with diagonal Kraus operators.
-
-    g = sum_r |a_{j_(r) j_(r) r}|^2 and f = sum_r |sum_j a_jjr|^2, so that
-    G = g/n and D = 1/2 - f/(2 n^2) hold exactly in the diagonal case.
-    """
-    a = m.ops
-    diags = np.einsum("rjj->rj", a)
-    off = np.abs(a - diags[:, :, None] * np.eye(m.dim)).reshape(len(a), -1).max(axis=1)
-    bad = np.flatnonzero(off > _DIAGONAL_TOL)
-    if bad.size:
-        raise ValueError(
-            f"outcome {bad[0]} is not diagonal; use estimation_fidelity/induced_fidelity instead"
-        )
-    g = float(np.sum(np.max(np.abs(diags) ** 2, axis=1)))
-    f = float(np.sum(np.abs(diags.sum(axis=1)) ** 2))
-    return g, f
-
-
-def banaszek_bound(g: float, m: int, n: int) -> float:
-    """Largest f compatible with spectral weight g: (sqrt(g) + sqrt((m-1)(n-g)))^2.
-
-    Holds for any coefficient vector of norm^2 = n split over m outcomes.
-    """
-    if m < 1:
-        raise ValueError("need at least one outcome")
-    if g < 0 or g > n:
-        raise ValueError(f"spectral weight {g} outside [0, {n}]")
-    return float((np.sqrt(g) + np.sqrt((m - 1) * (n - g))) ** 2)

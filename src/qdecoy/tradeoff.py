@@ -9,11 +9,8 @@ with G running from 1/n (do nothing) to 1 (full readout) and D from 0 to
 1/2 - 1/(2n). The bound is tight: the one-parameter family built by
 optimal_attack meets it with equality at every admissible G. This module
 evaluates the bound, certifies attacks against it (random sweeps), and
-rediscovers the optimum by constrained local search over diagonal attacks.
-
-Only that search uses scipy (SLSQP). It imports scipy.optimize when it
-runs and calls optimize.minimize through the module, so verify, simulate
-and curve never load scipy.
+rediscovers the optimum by polar ascent over every n-outcome attack, with
+numpy alone.
 """
 
 from __future__ import annotations
@@ -25,13 +22,14 @@ import numpy as np
 
 from .attacks import (
     GeneralizedMeasurement,
-    diagonal_attack,
+    _from_family,
+    diagonal_attack,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.diagonal_attack
     optimal_attack,
     projective_attack,
     random_attack,
 )
 from .linalg import check_dim
-from .metrics import estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
+from .metrics import _decoy_amplitudes, estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
 
 #: margins at or above this are float noise; below it an attack or metric is broken
 _NOISE = -1e-9
@@ -39,12 +37,13 @@ _NOISE = -1e-9
 _G_TOL = 1e-9
 #: random attacks, a sweep's first ones, that sweep_random hands to its `check`
 _KEPT = 10
-#: floor on a diagonal entry before water-filling, so a zero can still be scaled up
-_DIAG_FLOOR = 1e-300
-#: diagonal weight left over or overspent by less than this is float noise, not infeasible
-_PIN_SLACK = 1e-12
-#: squared row mass at or below this is zero: nothing to fill, or nothing to rescale
-_MASS_FLOOR = 1e-30
+#: an ascent has converged once no entry of its stack moves by more than this in a step
+_STEP_TOL = 1e-14
+#: a restart's root search stops once its G is this close to the target
+_ROOT_TOL = 1e-13
+#: ascents a restart's root search may take; at the largest float g below 1,
+#: λ doubles from 1 to ~1e6, and the whole search took 21 (n = 2, 8, 12)
+_ROOT_STEPS = 64
 
 
 class BoundViolation(RuntimeError):
@@ -162,109 +161,97 @@ def sweep_random(
     return points, min(p.margin for p in points)
 
 
-def _pin_diagonal(d: np.ndarray, target: float, n: int) -> np.ndarray | None:
-    """Scale entries of d so sum(d^2) = target with each capped at 1 (water-filling)."""
-    d = np.clip(d, _DIAG_FLOOR, 1.0)
-    free = np.ones(n, dtype=bool)
-    for _ in range(n + 1):
-        rem = target - float((d[~free] ** 2).sum())
-        ssq_free = float((d[free] ** 2).sum())
-        if rem < -_PIN_SLACK or (rem > _PIN_SLACK and ssq_free <= 0.0):
-            return None
-        scale = np.sqrt(max(rem, 0.0) / ssq_free) if ssq_free > 0 else 0.0
-        over = free & (d * scale > 1.0)
-        if not over.any():
-            d[free] *= scale
-            return d
-        d[over] = 1.0
-        free &= ~over
-    return None
+def _gradient(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Gradient of F + lam[k] G with respect to conj(A) for each attack k of an (R, n, n, n) stack.
 
-
-def _polish(a: np.ndarray, n: int, g_target: float) -> np.ndarray | None:
-    """Project a coefficient grid onto the exact feasible set at g_target.
-
-    Pins sum_r a_rr^2 = n*g_target (diagonal untouched afterwards), then
-    rescales only the off-diagonal mass of each row to restore unit row norms,
-    so both constraints hold to float precision simultaneously.
+    Attack k has n outcomes, and outcome r guesses r, so G = (1/n) sum_r
+    |column r of A_r|^2 and its gradient is (1/n) times that column. F is
+    (1/n^2) times the sum of the squared decoy amplitudes amp, so its
+    gradient is (1/n^2) [i (amp^T - amp)/2 + diag((row sums + column sums of
+    amp)/2)] for each outcome.
     """
-    a = np.clip(a, 0.0, None)
-    d = _pin_diagonal(np.diag(a).copy(), n * g_target, n)
-    if d is None:
-        return None
-    out = np.zeros_like(a)
-    for j in range(n):
-        off = a[j].copy()
-        off[j] = 0.0
-        rem = 1.0 - d[j] ** 2
-        onorm2 = float((off ** 2).sum())
-        if rem <= _MASS_FLOOR:
-            off[:] = 0.0
-        elif onorm2 <= _MASS_FLOOR:
-            return None
-        else:
-            off *= np.sqrt(rem / onorm2)
-        out[j] = off
-        out[j, j] = d[j]
-    return out
-
-
-def _constraints(n: int, g_target: float) -> list[dict]:
-    """SLSQP's two constraints on the flattened grid a_jr (level j, outcome r).
-
-    The equality stacks the n unit row norms and the pinned diagonal weight
-    sum_r a_rr^2 = n*g_target. The guess inequalities a_rr - a_jr >= 0 for
-    j != r are linear, so their Jacobian is one constant (n(n-1), n^2) matrix;
-    under the [0, 1] bounds they are the same as a_rr^2 >= a_jr^2.
-    """
+    n = a.shape[1]
     idx = np.arange(n)
-
-    def eq(x):
-        sq = x.reshape(n, n) ** 2
-        return np.append(sq.sum(axis=1) - 1.0, sq[idx, idx].sum() - n * g_target)
-
-    def eq_jac(x):
-        a = x.reshape(n, n)
-        jac = np.zeros((n + 1, n, n))
-        jac[idx, idx] = 2 * a
-        jac[n, idx, idx] = 2 * a[idx, idx]
-        return jac.reshape(n + 1, n * n)
-
-    r, j = np.nonzero(~np.eye(n, dtype=bool))
-    rows = np.arange(len(r))
-    guess = np.zeros((len(r), n * n))
-    guess[rows, r * (n + 1)] = 1.0
-    guess[rows, j * n + r] = -1.0
-    return [
-        {"type": "eq", "fun": eq, "jac": eq_jac},
-        {"type": "ineq", "fun": lambda x: guess @ x, "jac": lambda x: guess},
-    ]
+    amp = _decoy_amplitudes(a.reshape(-1, n, n)).reshape(a.shape)
+    grad = 0.5j * (amp.swapaxes(2, 3) - amp)
+    grad[..., idx, idx] += 0.5 * (amp.sum(axis=3) + amp.sum(axis=2))
+    grad /= n * n
+    grad[:, idx, :, idx] += (lam / n)[:, None] * a[:, idx, :, idx]
+    return grad
 
 
-def _search_once(n: int, g_target: float, iters: int, rng: np.random.Generator) -> np.ndarray:
-    """One SLSQP run from a random feasible-ish start; returns the raw grid."""
-    from scipy import optimize  # imported here: only the search needs scipy
+def _polar(x: np.ndarray) -> np.ndarray:
+    """The polar factor X (X†X)^(-1/2) of each (n n, n) row stack X of an (R, n, n, n) array.
 
-    def obj(x):
-        col = x.reshape(n, n).sum(axis=0)
-        return 0.5 - float(col @ col) / (2 * n * n)
+    One whose Gram matrix X†X is singular to float precision is zeroed, not
+    divided by zero, so the family back end drops it.
+    """
+    k, n = x.shape[:2]
+    rows = x.reshape(k, n * n, n)
+    w, u = np.linalg.eigh(rows.conj().swapaxes(1, 2) @ rows)
+    ok = w[:, :1] > np.finfo(float).eps * w[:, -1:]
+    # abs: the eigenvalues of a singular Gram matrix can round to just below 0
+    s = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=ok)
+    return (rows @ ((u * s[:, None, :]) @ u.conj().swapaxes(1, 2))).reshape(x.shape)
 
-    def obj_grad(x):
-        col = x.reshape(n, n).sum(axis=0)
-        return np.tile(-col / (n * n), (n, 1)).ravel()
 
-    start = np.abs(rng.standard_normal((n, n)))
-    start /= np.linalg.norm(start, axis=1, keepdims=True)
-    res = optimize.minimize(
-        obj,
-        start.ravel(),
-        jac=obj_grad,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * (n * n),
-        constraints=_constraints(n, g_target),
-        options={"maxiter": iters, "ftol": 1e-14},
-    )
-    return res.x.reshape(n, n)
+def _ascend(a: np.ndarray, lam: np.ndarray, iters: int) -> np.ndarray:
+    """Polar ascent of F + lam[k] G over the attacks of an (R, n, n, n) stack, from `a`.
+
+    Each step replaces the stack, the isometry of each attack, by the polar
+    factor of its gradient (P.-A. Absil, R. Mahony and R. Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008). F + λG is a positive
+    semidefinite quadratic form, so no step can lower it and none needs a
+    step size (M. Journée, Y. Nesterov, P. Richtárik and R. Sepulchre,
+    JMLR 11, 517 (2010)). It stops once no entry moves by more than
+    _STEP_TOL in a step, or after `iters` steps.
+    """
+    for _ in range(iters):
+        a, prev = _polar(_gradient(a, lam)), a
+        if np.max(np.abs(a - prev)) <= _STEP_TOL:
+            break
+    return a
+
+
+def _search(n: int, g_target: float, restarts: int, iters: int, seed: int) -> np.ndarray:
+    """One n-outcome attack per restart, as an (R, n, n, n) stack, each with G near g_target.
+
+    Restart k starts from the polar factor of the k-th complex Gaussian
+    (n, n, n) stack drawn from `seed`, whatever `restarts` is, and finds its
+    own λ at which the top of F + λG has G = g_target. G(λ) is 1/n at
+    λ = 0, where F alone is largest (1, when every A_r is a multiple of Id),
+    so λ doubles from 1 until G >= g_target brackets the root, which false
+    position (Illinois) on G(λ) - g_target then narrows. Each ascent starts
+    from the restart's best stack so far, the one with G closest to
+    g_target, and that stack is returned.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((restarts, 2, n, n, n))
+    best = _polar(z[:, 0] + 1j * z[:, 1])
+    miss = np.full(restarts, np.inf)  # |G - g_target| of each best stack
+    lam, side = np.ones(restarts), np.zeros(restarts)
+    lo, f_lo = np.zeros(restarts), np.full(restarts, 1.0 / n - g_target)
+    hi, f_hi = np.full(restarts, np.inf), np.zeros(restarts)
+    idx = np.arange(n)
+    for _ in range(_ROOT_STEPS):
+        live = miss > _ROOT_TOL
+        if not live.any():
+            break
+        a = best.copy()
+        a[live] = _ascend(best[live], lam[live], iters)
+        f = np.sum(np.abs(a[:, idx, :, idx]) ** 2, axis=(0, 2)) / n - g_target
+        closer = np.abs(f) < miss
+        best[closer], miss[closer] = a[closer], np.abs(f[closer])
+        below, above = live & (f < 0), live & (f >= 0)
+        # Illinois: an end kept a second time in a row has its value halved
+        f_hi[below & (side < 0)] /= 2
+        f_lo[above & (side > 0)] /= 2
+        lo[below], f_lo[below], side[below] = lam[below], f[below], -1
+        hi[above], f_hi[above], side[above] = lam[above], f[above], 1
+        lam[below & np.isinf(hi)] *= 2
+        pos = live & (miss > _ROOT_TOL) & np.isfinite(hi)
+        lam[pos] = (lo[pos] * f_hi[pos] - hi[pos] * f_lo[pos]) / (f_hi[pos] - f_lo[pos])
+    return best
 
 
 def optimize_attack(
@@ -276,12 +263,12 @@ def optimize_attack(
 ) -> tuple[TradeoffPoint, GeneralizedMeasurement]:
     """Rediscover the least-disturbance attack at fixed estimation fidelity.
 
-    Local search over n-outcome diagonal attacks parametrized by the
-    nonnegative grid a_jr (level j, outcome r), under unit row norms
-    (completeness), pinned sum_r a_rr^2 = n*g_target, and a_rr >= a_jr so the
-    per-outcome guess is r. Each restart's result is projected onto the exact
-    feasible set and scored by attack_point. Returns the best point and its
-    attack.
+    Searches n-outcome attacks in which outcome r guesses r for the largest
+    F at G = g_target, by polar ascent of F + λG from `restarts` random
+    complex starts (_search); `iters` caps the steps of one ascent. Each
+    restart is built through the family back end, which drops zero outcomes
+    and checks completeness, and is scored by attack_point. Returns the
+    point with the least D and its attack.
     """
     check_dim(n)
     g_target = float(g_target)
@@ -290,20 +277,19 @@ def optimize_attack(
     source = f"optimized(n={n},g={g_target!r},seed={seed})"
 
     if g_target == 1.0:
-        # unit row norms cap every diagonal entry at 1, so sum a_rr^2 = n has
-        # exactly one solution: the full readout grid a = Id
+        # G(λ) reaches 1 only as λ grows without limit, so no search brackets it;
+        # the full readout meets the bound there
         m = replace(projective_attack(n), descriptor=source)
         return attack_point(m), m
 
     best: tuple[TradeoffPoint, GeneralizedMeasurement] | None = None
-    for k in range(restarts):
-        raw = _search_once(n, g_target, iters, np.random.default_rng([seed, k]))
-        a = _polish(raw, n, g_target)
-        if a is None:
+    for stack in _search(n, g_target, restarts, iters, seed):
+        try:
+            m = _from_family(stack, source)
+        except ValueError:  # a zeroed restart, or one that is not complete
             continue
-        m = replace(diagonal_attack(a.T), descriptor=source)
         p = attack_point(m)
-        # a margin below noise is only reachable through float pathology in the pin
+        # a margin below noise is only reachable through float pathology
         if abs(p.g - g_target) > _G_TOL or p.margin < _NOISE:
             continue
         if best is None or p.d < best[0].d:

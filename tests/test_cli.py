@@ -351,10 +351,10 @@ class TestOptimize:
         class Searched(Exception):
             pass
 
-        def minimize(*args, **kwargs):
+        def ascend(*args, **kwargs):
             raise Searched
 
-        monkeypatch.setattr("scipy.optimize.minimize", minimize)
+        monkeypatch.setattr("qdecoy.tradeoff._ascend", ascend)
         assert main(["optimize", "--n", "25", "--g", "0.5", "--seed", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -450,7 +450,7 @@ class TestOutput:
 
 
 class TestStartup:
-    def test_only_optimize_loads_scipy(self):
+    def test_no_command_loads_scipy(self):
         # a fresh interpreter, since this test process has scipy loaded already
         script = textwrap.dedent(
             """
@@ -464,14 +464,12 @@ class TestStartup:
                 ["curve", "--n", "4"],
                 ["verify", "--n", "3", "--trials", "2", "--seed", "1"],
                 ["simulate", "--attack", "optimal(n=4,g=0.5)", "--shots", "1000", "--seed", "1"],
+                ["optimize", "--n", "3", "--g", "0.6", "--restarts", "1", "--seed", "0"],
             ]
             for argv in commands:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(argv) == 0, argv
                 assert loaded() == [], (argv, loaded()[:5])
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["optimize", "--n", "3", "--g", "0.6", "--restarts", "1", "--seed", "0"]) == 0
-            assert "scipy.optimize" in sys.modules
             """
         )
         src = str(Path(qdecoy.__file__).resolve().parents[1])

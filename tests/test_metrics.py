@@ -22,14 +22,46 @@ from qdecoy.ensembles import Ensemble, decoy_ket, pairing_ensemble
 from qdecoy import metrics
 from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
-    banaszek_bound,
     estimation_fidelity,
     estimation_fidelity_functional,
     induced_fidelity,
     induced_fidelity_closed,
     induced_fidelity_functional,
-    spectral_quantities,
 )
+
+#: off-diagonal entries above this make an outcome non-diagonal for spectral_quantities
+_DIAGONAL_TOL = 1e-10
+
+
+def spectral_quantities(m):
+    """(g, f) for attacks with diagonal Kraus operators: the paper's diagonal-case route.
+
+    g = sum_r |a_{j_(r) j_(r) r}|^2 and f = sum_r |sum_j a_jjr|^2, so that
+    G = g/n and D = 1/2 - f/(2 n^2) hold exactly in the diagonal case.
+    """
+    a = m.ops
+    diags = np.einsum("rjj->rj", a)
+    off = np.abs(a - diags[:, :, None] * np.eye(m.dim)).reshape(len(a), -1).max(axis=1)
+    bad = np.flatnonzero(off > _DIAGONAL_TOL)
+    if bad.size:
+        raise ValueError(
+            f"outcome {bad[0]} is not diagonal; use estimation_fidelity/induced_fidelity instead"
+        )
+    g = float(np.sum(np.max(np.abs(diags) ** 2, axis=1)))
+    f = float(np.sum(np.abs(diags.sum(axis=1)) ** 2))
+    return g, f
+
+
+def banaszek_bound(g, m, n):
+    """Largest f compatible with spectral weight g: (sqrt(g) + sqrt((m-1)(n-g)))^2.
+
+    Holds for any coefficient vector of norm^2 = n split over m outcomes.
+    """
+    if m < 1:
+        raise ValueError("need at least one outcome")
+    if g < 0 or g > n:
+        raise ValueError(f"spectral weight {g} outside [0, {n}]")
+    return float((np.sqrt(g) + np.sqrt((m - 1) * (n - g))) ** 2)
 
 
 def _canonical_ensemble(n):

@@ -10,14 +10,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from qdecoy.attacks import (
     GeneralizedMeasurement,
     identity_attack,
+    optimal_attack,
     probabilistic_attack,
     projective_attack,
     random_attack,
 )
 from qdecoy import tradeoff
+from qdecoy.metrics import induced_fidelity_closed
 from qdecoy.tradeoff import (
     BoundViolation,
-    _constraints,
     attack_point,
     disturbance_bound,
     optimize_attack,
@@ -207,52 +208,60 @@ class TestSweepRandom:
             sweep_random(2, trials=0)
 
 
-class TestSearchConstraints:
+def _complex_stacks(rng, r, n):
+    """r complex Gaussian (n, n, n) stacks, neither diagonal nor isometries."""
+    return rng.standard_normal((r, n, n, n)) + 1j * rng.standard_normal((r, n, n, n))
+
+
+class TestAscent:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_equality_jacobian_matches_central_differences(self, n):
-        eq, _ = _constraints(n, 0.5 * (1.0 / n + 1.0))
+    def test_gradient_matches_central_differences(self, n):
+        # d/dt (F + λG)(A + tH) at t = 0 is 2 Re <grad, H>, with outcome r guessing r
+        def objective(a, lam):
+            g = sum(np.sum(np.abs(a[r, :, r]) ** 2) for r in range(n)) / n
+            return induced_fidelity_closed(a) + lam * g
+
         rng = np.random.default_rng(n)
-        h = 1e-6
-        for _ in range(5):
-            x = rng.uniform(0.0, 1.0, n * n)
-            steps = h * np.eye(n * n)
-            central = np.array([(eq["fun"](x + s) - eq["fun"](x - s)) / (2 * h) for s in steps]).T
-            assert eq["jac"](x).shape == (n + 1, n * n)
-            assert np.max(np.abs(eq["jac"](x) - central)) <= 1e-6
+        a, h = _complex_stacks(rng, 3, n), _complex_stacks(rng, 3, n)
+        lam = rng.uniform(0.0, 3.0, 3)
+        grad = tradeoff._gradient(a, lam)
+        step = 1e-6
+        for k in range(3):
+            central = (objective(a[k] + step * h[k], lam[k]) - objective(a[k] - step * h[k], lam[k])) / (2 * step)
+            assert_allclose(2 * np.sum(grad[k].conj() * h[k]).real, central, rtol=0, atol=1e-8)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_constraint_values_match_their_definitions(self, n):
-        g = 0.5 * (1.0 / n + 1.0)
-        eq, guess = _constraints(n, g)
-        assert (eq["type"], guess["type"]) == ("eq", "ineq")
-        a = np.random.default_rng(10 + n).uniform(0.0, 1.0, (n, n))
-        x = a.ravel()
-        want_eq = [float((a[j] ** 2).sum()) - 1.0 for j in range(n)]
-        want_eq.append(float(sum(a[r, r] ** 2 for r in range(n))) - n * g)
-        assert_allclose(eq["fun"](x), want_eq, rtol=0, atol=1e-14)
-        want_guess = [a[r, r] - a[j, r] for r in range(n) for j in range(n) if j != r]
-        assert_allclose(guess["fun"](x), want_guess, rtol=0, atol=1e-15)
-        jac = guess["jac"](x)
-        assert jac.shape == (n * (n - 1), n * n)
-        assert_array_equal(jac @ x, guess["fun"](x))
-        assert_array_equal(guess["jac"](np.zeros(n * n)), jac)
+    def test_polar_factor_is_an_isometry_and_zeroes_a_singular_stack(self):
+        x = _complex_stacks(np.random.default_rng(1), 2, 3)
+        x[1, :, :, 0] = 0.0  # column 0 of every outcome: X†X is singular
+        p = tradeoff._polar(x)
+        rows = p[0].reshape(9, 3)
+        assert_allclose(rows.conj().T @ rows, np.eye(3), rtol=0, atol=1e-13)
+        assert_array_equal(p[1], 0.0)
 
-    def test_slsqp_gets_two_constraints_with_jacobians(self, monkeypatch):
-        from scipy import optimize
+    @pytest.mark.parametrize("n, g", [(2, 0.75), (3, 0.6), (4, 0.625), (5, 0.201), (7, 0.1438)])
+    def test_every_restart_finds_the_saturating_family(self, n, g):
+        want = optimal_attack(n, g).ops
+        for stack in tradeoff._search(n, g, restarts=4, iters=2000, seed=0):
+            # one phase per outcome, read off its diagonal entry at the outcome's own guess
+            phase = stack[np.arange(n), np.arange(n), np.arange(n)]
+            assert np.max(np.abs(stack * (np.abs(phase) / phase)[:, None, None] - want)) <= 1e-10
 
-        seen = []
-        minimize = optimize.minimize
+    def test_restarts_start_from_non_diagonal_complex_stacks(self, monkeypatch):
+        starts = []
+        ascend = tradeoff._ascend
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs["constraints"])
-            return minimize(*args, **kwargs)
+        def spy(a, lam, iters):
+            if not starts:
+                starts.append(a.copy())
+            return ascend(a, lam, iters)
 
-        monkeypatch.setattr("scipy.optimize.minimize", spy)
-        optimize_attack(4, 0.625, restarts=2, seed=0)
-        assert len(seen) == 2
-        for cons in seen:
-            assert [c["type"] for c in cons] == ["eq", "ineq"]
-            assert all(callable(c["jac"]) for c in cons)
+        monkeypatch.setattr(tradeoff, "_ascend", spy)
+        optimize_attack(3, 0.6, restarts=4, seed=0)
+        (start,) = starts
+        assert start.shape == (4, 3, 3, 3)
+        off = ~np.eye(3, dtype=bool)
+        assert np.all(np.abs(start[..., off]).max(axis=(1, 2)) > 0.1)
+        assert np.all(np.abs(start.imag).max(axis=(1, 2, 3)) > 0.1)
 
 
 class TestOptimizeAttack:
@@ -278,34 +287,33 @@ class TestOptimizeAttack:
         assert point.d <= 5e-4
         assert point.d >= -1e-9
 
-    def test_projection_makes_iteration_limited_restarts_feasible(self, monkeypatch):
-        # near g = 1/n SLSQP exhausts its iterations; only _polish makes the grid feasible
-        from scipy import optimize
-
-        statuses = []
-        minimize = optimize.minimize
-
-        def spy(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        monkeypatch.setattr("scipy.optimize.minimize", spy)
+    def test_one_restart_meets_g_near_the_lower_end(self):
         point, m = optimize_attack(5, 0.201, restarts=1, seed=0)
-        assert statuses == [9]  # SciPy's SLSQP status for "Iteration limit reached"
-        assert_allclose(point.g, 0.201, rtol=0, atol=1e-9)
-        assert point.margin >= -1e-9
+        assert abs(point.g - 0.201) <= 1e-12
+        assert abs(point.margin) <= 1e-11
         m.validate()
 
     def test_a_restart_may_leave_an_outcome_without_weight(self, monkeypatch):
-        # outcome 1 of this feasible grid never fires: the attack keeps outcomes 0 and 2
-        grid = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        monkeypatch.setattr(tradeoff, "_search_once", lambda n, g, iters, rng: grid)
+        # outcome 1 of this complete stack never fires: the attack keeps outcomes 0 and 2
+        stack = np.zeros((3, 3, 3), dtype=complex)
+        stack[0, [0, 1], [0, 1]] = 1.0
+        stack[2, 2, 2] = 1.0
+        monkeypatch.setattr(tradeoff, "_ascend", lambda a, lam, iters: np.broadcast_to(stack, a.shape).copy())
         point, m = optimize_attack(3, 2 / 3, restarts=1, seed=0)
         assert len(m.ops) == 2
         assert_allclose(point.g, 2 / 3, rtol=0, atol=1e-12)
         assert_allclose(point.d, 2 / 9, rtol=0, atol=1e-12)
         m.validate()
+
+    def test_no_restart_left_when_every_one_is_singular(self, monkeypatch):
+        def singular(a, lam, iters):
+            a = a.copy()
+            a[..., 0] = 0.0  # column 0 of every outcome
+            return tradeoff._polar(a)
+
+        monkeypatch.setattr(tradeoff, "_ascend", singular)
+        with pytest.raises(RuntimeError, match="no feasible candidate"):
+            optimize_attack(3, 0.6, restarts=2, seed=0)
 
     def test_full_readout_is_projective(self):
         point, m = optimize_attack(4, 1.0, seed=0)
