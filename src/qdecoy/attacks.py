@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ZERO_NORM, check_dim, frobenius_norms, inv_sqrt_psd
+from .linalg import DEFAULT_TOL, ZERO_NORM, blocks, check_dim, frobenius_norms, inv_sqrt_psd
 
 log = logging.getLogger(__name__)
 
-#: bytes of operator rows that completeness_residual conjugates at a time
-_GRAM_BLOCK_BYTES = 1 << 20
 #: completeness residual above which random_attack whitens its draw a second time
 _REWHITEN_TOL = 1e-13
 
@@ -55,14 +53,11 @@ class GeneralizedMeasurement:
     def completeness_residual(self) -> float:
         """Max-norm of sum_r A_r†A_r - Id.
 
-        The Gram sum runs over blocks of _GRAM_BLOCK_BYTES of the (K*n, n) rows,
-        so the check holds one block's conjugate, not a copy of the whole attack.
+        The Gram sum runs over blocks of the (K*n, n) rows (`blocks`), so the
+        check holds one block's conjugate, not a copy of the whole attack.
         """
         rows = self.ops.reshape(-1, self.dim)
-        step = max(1, _GRAM_BLOCK_BYTES // rows[0].nbytes)
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(0, len(rows), step):
-            total += gram_sum(rows[i : i + step])
+        total = sum(gram_sum(rows[lo:hi]) for lo, hi in blocks(len(rows), rows[0].nbytes))
         return _identity_residual(total)
 
     def validate(self) -> None:

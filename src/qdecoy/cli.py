@@ -87,6 +87,9 @@ def _write_output(text: str, path: str | None) -> int:
         try:
             with os.fdopen(fd, "w", newline="") as fh:
                 fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's is 0o600; this is what a plain open gives a new file
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
@@ -173,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     try:
         cross = _CrossCheck(args.n)
-        min_named = min(p.margin for p in certify(_named_attacks(args.n, g_grid), cross))
+        min_named = certify(_named_attacks(args.n, g_grid), cross).margin
         # the saturation gap reads D from the functional route on the optimal attacks
         f_optimal = cross.f_functional[-len(g_grid):]
         gaps = [abs((1.0 - f) - disturbance_bound(g, args.n)) for g, f in zip(g_grid, f_optimal)]
@@ -185,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         min_sweep = None
         if args.trials > 0:
             # the sweep hands its first ten attacks to the cross-check as it certifies them
-            _, min_sweep = sweep_random(args.n, args.trials, seed=args.seed, check=cross)
+            min_sweep = sweep_random(args.n, args.trials, seed=args.seed, check=cross).margin
 
         if cross.g > _G_ROUTE_TOL:
             failures.append(f"estimation functional residual {cross.g!r} exceeds {_sci(_G_ROUTE_TOL)}")
@@ -250,10 +253,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         return _usage(f"n = {args.n} exceeds the search cap {_OPTIMIZE_N_CAP}")
     if not 1.0 / args.n <= args.g <= 1.0:
         return _usage(f"--g {args.g} outside [1/{args.n}, 1]")
-    if args.restarts < 1 or args.iters < 1:
-        return _usage("restarts and iters must be positive")
+    if args.restarts < 1:
+        return _usage(f"restarts must be positive, got {args.restarts}")
     try:
-        point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, iters=args.iters, seed=args.seed)
+        point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, seed=args.seed)
     except RuntimeError as exc:
         return _runtime_failure(str(exc))
     return _write_output(json.dumps(asdict(point), indent=2) + "\n", args.out)
@@ -293,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--n", type=int, required=True, help="channel dimension (2..24)")
     optimize.add_argument("--g", type=float, required=True, help="estimation fidelity target in [1/n, 1]")
     optimize.add_argument("--restarts", type=int, default=16)
-    optimize.add_argument("--iters", type=int, default=2000, help="most polar steps in one ascent (default 2000)")
     optimize.add_argument("--seed", type=int, required=True)
     optimize.add_argument("--out", default=None, help="output path (atomic write); default stdout")
     optimize.set_defaults(func=cmd_optimize)

@@ -13,6 +13,15 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 #: Frobenius norms below this mark a zero operator
 ZERO_NORM = 1e-12
+#: bytes of temporaries one block of outcomes may hold (`blocks`): in cache, out of the peak
+BLOCK_BYTES = 1 << 20
+
+
+def blocks(count: int, item_bytes: int):
+    """Yield (lo, hi) ranges covering range(count) in order, of max(1, BLOCK_BYTES // item_bytes) items at most."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)
 
 
 def frobenius_norms(a: np.ndarray) -> np.ndarray:

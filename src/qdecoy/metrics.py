@@ -21,8 +21,7 @@ oracles for `verify` and the tests:
 - the definition sum induced_fidelity, over the states of any Ensemble: each
   amplitude <phi|A_r|phi> is vec(A_r) . (conj(phi) ⊗ phi), read on the w
   nonzero entries of conj(phi) ⊗ phi that the ensemble keeps (w = 4 for the
-  pairing decoys), so N states cost O(K N w), a block of outcomes at a
-  time with the block bounded by a byte cap;
+  pairing decoys), so N states cost O(K N w), a block of outcomes at a time;
 - the linear functionals of the attack's state operator $: G is a trace
   against the block-diagonal operator € built from the per-outcome guesses
   j_(r), which reduces to squared vec components, so $ is never built
@@ -42,24 +41,16 @@ import numpy as np
 from .attacks import GeneralizedMeasurement
 from .choi import choi_of_kraus
 from .ensembles import Ensemble
+from .linalg import blocks
 
 #: diagonal weights within this of an outcome's largest tie; the lowest index wins
 _TIE = 1e-12
-#: bytes of temporaries per block of outcomes in induced_fidelity: 1 MiB
-#: keeps them in cache and holds 4 outcomes of the 4096 pairing decoys at n = 64
-_ORACLE_BLOCK_BYTES = 2**20
-#: bytes of Kraus operators per block of outcomes (_outcome_blocks); small
-#: blocks keep the temporaries of G, F and the protocol's tables in cache and
-#: out of the peak
-_OUTCOME_BLOCK_BYTES = 128 * 2**10
 
 
 def _outcome_blocks(a: np.ndarray):
-    """Yield (lo, a[lo:hi]) over a (K, n, n) Kraus stack, _OUTCOME_BLOCK_BYTES of operators per block."""
-    k, n, _ = a.shape
-    step = max(1, _OUTCOME_BLOCK_BYTES // (16 * n * n))
-    for lo in range(0, k, step):
-        yield lo, a[lo : lo + step]
+    """Yield (lo, hi, a[lo:hi]) over a (K, n, n) Kraus stack by `blocks`, at 128 n^2 bytes of temporaries an outcome."""
+    for lo, hi in blocks(len(a), 128 * a.shape[1] ** 2):
+        yield lo, hi, a[lo:hi]
 
 
 def estimation_fidelity(m: GeneralizedMeasurement, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -69,8 +60,8 @@ def estimation_fidelity(m: GeneralizedMeasurement, out: np.ndarray | None = None
     """
     a = m.ops
     d = np.empty(a.shape[:2]) if out is None else out
-    for lo, blk in _outcome_blocks(a):
-        d[lo : lo + len(blk)] = np.einsum("rij,rij->rj", blk.conj(), blk).real
+    for lo, hi, blk in _outcome_blocks(a):
+        d[lo:hi] = np.einsum("rij,rij->rj", blk.conj(), blk).real
     guesses = np.argmax(d >= d.max(axis=1, keepdims=True) - _TIE, axis=1)
     weights = d[np.arange(len(d)), guesses]
     return float(weights.sum() / m.dim), guesses
@@ -111,8 +102,8 @@ def _decoy_weights(a: np.ndarray, out: np.ndarray | None = None):
     (K, n, n) table, when one is given, else into a new array; every entry
     is the same expression whatever the block.
     """
-    for lo, blk in _outcome_blocks(a):
-        w = np.abs(_decoy_amplitudes(blk), out=None if out is None else out[lo : lo + len(blk)])
+    for lo, hi, blk in _outcome_blocks(a):
+        w = np.abs(_decoy_amplitudes(blk), out=None if out is None else out[lo:hi])
         yield np.square(w, out=w)
 
 
@@ -137,21 +128,20 @@ def induced_fidelity(m: GeneralizedMeasurement, e: Ensemble) -> float:
     the w nonzero entries of each conj(phi) ⊗ phi (`support`, `coef`), so
     the N amplitudes of one outcome are w gathers of its vec components,
     each scaled by one coefficient per state: O(K N w) in all. Outcomes go
-    a block at a time, so each block's vec rows stay in cache while every
-    state reads them, with the block's temporaries bounded by
-    _ORACLE_BLOCK_BYTES (one outcome's, if those alone are larger).
+    a block at a time (`blocks`), so each block's vec rows stay in cache
+    while every state reads them, with the block's temporaries within the
+    shared budget (one outcome's, if those alone are larger).
     """
     if e.dim != m.dim:
         raise ValueError(f"ensemble dimension {e.dim} != measurement dimension {m.dim}")
     n, k = m.dim, len(m.ops)
     vecs = m.ops.reshape(k, n * n)
     support, coef = e.support, e.coef
+    per_state = np.zeros(len(e.weights))
     # bytes per outcome, at most: N complex amplitudes, and the N vec
     # components of one slot with their N products
-    step = max(1, _ORACLE_BLOCK_BYTES // (48 * len(e.weights)))
-    per_state = np.zeros(len(e.weights))
-    for lo in range(0, k, step):
-        blk = vecs[lo:lo + step]
+    for lo, hi in blocks(k, 48 * len(e.weights)):
+        blk = vecs[lo:hi]
         amp = blk[:, support[:, 0]] * coef[:, 0]
         for slot in range(1, support.shape[1]):
             amp += blk[:, support[:, slot]] * coef[:, slot]

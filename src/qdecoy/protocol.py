@@ -50,7 +50,8 @@ _SNAP = 1e-12
 #: overtook the search at about 3 K trials at n = 8, 1.5 K at n = 16 and
 #: 0.4 K at n = 32
 _DENSE_TRIALS_PER_OUTCOME = 1
-#: bytes a block of table rows may use while it is sampled and scored
+#: bytes a block of table rows may use while it is sampled and scored; not linalg.BLOCK_BYTES,
+#: since with _CELL_BYTES it sets the row edges, which are part of the seeded stream
 _BLOCK_BYTES = 2 << 20
 #: bytes held per searched trial or filled cell while a block is scored
 _CELL_BYTES = 128
@@ -100,8 +101,7 @@ def _pair_tables(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     k, n, _ = a.shape
     idx = np.arange(n)
     p_decoy = np.empty((n * n, k))
-    for lo, blk in _outcome_blocks(a):
-        hi = lo + len(blk)
+    for lo, hi, blk in _outcome_blocks(a):
         dg = d[lo:hi]
         prod = blk.real.transpose(0, 2, 1) @ blk.imag
         pd = 0.5 * (dg[:, :, None] + dg[:, None, :]) - (prod - prod.transpose(0, 2, 1))

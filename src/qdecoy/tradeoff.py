@@ -39,6 +39,8 @@ _G_TOL = 1e-9
 _KEPT = 10
 #: an ascent has converged once no entry of its stack moves by more than this in a step
 _STEP_TOL = 1e-14
+#: most polar steps in one ascent
+_ASCENT_STEPS = 2000
 #: a restart's root search stops once its G is this close to the target
 _ROOT_TOL = 1e-13
 #: ascents a restart's root search may take; at the largest float g below 1,
@@ -116,17 +118,17 @@ def certify(
     attacks: Iterable[GeneralizedMeasurement],
     check: Callable[[GeneralizedMeasurement, TradeoffPoint], object] | None = None,
     checked: int | None = None,
-) -> list[TradeoffPoint]:
-    """Certify the bound on each attack that `attacks` yields; returns their points.
+) -> TradeoffPoint:
+    """Certify the bound on each attack that `attacks` yields; returns the point of least margin.
 
     A margin below _NOISE raises BoundViolation (the bound is proven, so that
     is an implementation bug, not a counterexample). Given `check`, it calls
     check(attack, point) on the first `checked` attacks (all of them when
     None) right after certifying each, so a caller can check them further
-    without building them again. It lets go of each attack before it pulls
-    the next.
+    without building them again. It lets go of each attack and its point
+    before it pulls the next, so its memory does not grow with their number.
     """
-    points = []
+    worst, count = None, 0
     for m in attacks:  # not enumerate: its cached tuple would keep the last attack alive
         p = attack_point(m)
         if p.margin < _NOISE:
@@ -134,11 +136,15 @@ def certify(
                 f"attack {p.source!r} lands {-p.margin:.3e} below the proven bound "
                 f"(G={p.g!r}, D={p.d!r}); this indicates a broken attack or metric"
             )
-        points.append(p)
-        if check is not None and (checked is None or len(points) <= checked):
+        count += 1
+        if worst is None or p.margin < worst.margin:
+            worst = p
+        if check is not None and (checked is None or count <= checked):
             check(m, p)
         del m  # freed before the next attack is pulled
-    return points
+    if worst is None:
+        raise ValueError("need at least one attack")
+    return worst
 
 
 def sweep_random(
@@ -146,19 +152,16 @@ def sweep_random(
     trials: int,
     seed: int = 0,
     check: Callable[[GeneralizedMeasurement, TradeoffPoint], object] | None = None,
-) -> tuple[list[TradeoffPoint], float]:
-    """Certify the bound on `trials` seeded random attacks.
+) -> TradeoffPoint:
+    """Certify the bound on `trials` seeded random attacks; returns the point of least margin.
 
-    Returns all evaluated points and the minimum margin. Attacks are drawn
-    one at a time and certified as in `certify`, which hands the first
-    min(trials, _KEPT) of them to `check`.
+    Attacks are drawn one at a time and certified as in `certify`, which
+    hands the first min(trials, _KEPT) of them to `check` and keeps no
+    other point, so memory does not grow with `trials`.
     """
     check_dim(n)
-    if trials < 1:
-        raise ValueError("need at least one trial")
     drawn = (random_attack(n, seed=trial_seed(seed, t)) for t in range(trials))
-    points = certify(drawn, check, checked=_KEPT)
-    return points, min(p.margin for p in points)
+    return certify(drawn, check, checked=_KEPT)
 
 
 def _gradient(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -195,7 +198,7 @@ def _polar(x: np.ndarray) -> np.ndarray:
     return (rows @ ((u * s[:, None, :]) @ u.conj().swapaxes(1, 2))).reshape(x.shape)
 
 
-def _ascend(a: np.ndarray, lam: np.ndarray, iters: int) -> np.ndarray:
+def _ascend(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Polar ascent of F + lam[k] G over the attacks of an (R, n, n, n) stack, from `a`.
 
     Each step replaces the stack, the isometry of each attack, by the polar
@@ -204,16 +207,16 @@ def _ascend(a: np.ndarray, lam: np.ndarray, iters: int) -> np.ndarray:
     semidefinite quadratic form, so no step can lower it and none needs a
     step size (M. Journée, Y. Nesterov, P. Richtárik and R. Sepulchre,
     JMLR 11, 517 (2010)). It stops once no entry moves by more than
-    _STEP_TOL in a step, or after `iters` steps.
+    _STEP_TOL in a step, or after _ASCENT_STEPS steps.
     """
-    for _ in range(iters):
+    for _ in range(_ASCENT_STEPS):
         a, prev = _polar(_gradient(a, lam)), a
         if np.max(np.abs(a - prev)) <= _STEP_TOL:
             break
     return a
 
 
-def _search(n: int, g_target: float, restarts: int, iters: int, seed: int) -> np.ndarray:
+def _search(n: int, g_target: float, restarts: int, seed: int) -> np.ndarray:
     """One n-outcome attack per restart, as an (R, n, n, n) stack, each with G near g_target.
 
     Restart k starts from the polar factor of the k-th complex Gaussian
@@ -238,7 +241,7 @@ def _search(n: int, g_target: float, restarts: int, iters: int, seed: int) -> np
         if not live.any():
             break
         a = best.copy()
-        a[live] = _ascend(best[live], lam[live], iters)
+        a[live] = _ascend(best[live], lam[live])
         f = np.sum(np.abs(a[:, idx, :, idx]) ** 2, axis=(0, 2)) / n - g_target
         closer = np.abs(f) < miss
         best[closer], miss[closer] = a[closer], np.abs(f[closer])
@@ -258,14 +261,13 @@ def optimize_attack(
     n: int,
     g_target: float,
     restarts: int = 16,
-    iters: int = 2000,
     seed: int = 0,
 ) -> tuple[TradeoffPoint, GeneralizedMeasurement]:
     """Rediscover the least-disturbance attack at fixed estimation fidelity.
 
     Searches n-outcome attacks in which outcome r guesses r for the largest
     F at G = g_target, by polar ascent of F + λG from `restarts` random
-    complex starts (_search); `iters` caps the steps of one ascent. Each
+    complex starts (_search), each ascent of at most _ASCENT_STEPS steps. Each
     restart is built through the family back end, which drops zero outcomes
     and checks completeness, and is scored by attack_point. Returns the
     point with the least D and its attack.
@@ -283,7 +285,7 @@ def optimize_attack(
         return attack_point(m), m
 
     best: tuple[TradeoffPoint, GeneralizedMeasurement] | None = None
-    for stack in _search(n, g_target, restarts, iters, seed):
+    for stack in _search(n, g_target, restarts, seed):
         try:
             m = _from_family(stack, source)
         except ValueError:  # a zeroed restart, or one that is not complete

@@ -93,7 +93,7 @@ def test_3_no_violation_random_sweep(announce):
     ok = True
     try:
         for n in (2, 3, 4):
-            _, min_margin = sweep_random(n, trials=1000, seed=n)
+            min_margin = sweep_random(n, trials=1000, seed=n).margin
             worst = min(worst, min_margin)
         ok = worst >= -1e-9
         detail = f"min_margin={worst:.2e} (tol -1e-9) 1000 attacks each n in 2,3,4"

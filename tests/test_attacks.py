@@ -85,9 +85,9 @@ class TestFromKraus:
     def test_completeness_residual_in_row_blocks(self, monkeypatch):
         m = attacks.random_attack(3, 5, seed=4)
         whole = float(np.max(np.abs(attacks.gram_sum(m.ops) - np.eye(3))))
-        monkeypatch.setattr(attacks, "_GRAM_BLOCK_BYTES", 2 * m.ops[0, 0].nbytes)  # 2 rows a block
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * m.ops[0, 0].nbytes)  # 2 rows a block
         assert m.completeness_residual() == pytest.approx(whole, abs=1e-15)
-        monkeypatch.setattr(attacks, "_GRAM_BLOCK_BYTES", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
         assert m.completeness_residual() == pytest.approx(whole, abs=1e-15)
         bad = attacks.GeneralizedMeasurement(np.concatenate([m.ops, m.ops[:1]]), descriptor="corrupt")
         with pytest.raises(ValueError, match="completeness violated"):

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -59,6 +61,17 @@ class TestCurve:
         assert len(rows) == 4
         # no leftover temp files next to the output
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_out_file_mode_follows_the_umask(self, tmp_path, capsys):
+        # 0o666 & ~umask, as a plain open gives a new file; mkstemp alone gives 0o600
+        path = tmp_path / "curve.json"
+        old = os.umask(0o022)
+        try:
+            assert main(["curve", "--n", "4", "--points", "5", "--format", "json", "--out", str(path)]) == 0
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        finally:
+            os.umask(old)
+        assert capsys.readouterr().out == ""
 
     def test_usage_errors(self, capsys):
         assert main(["curve", "--n", "1"]) == 2
@@ -344,6 +357,9 @@ class TestOptimize:
             main(["optimize", "--n", "2", "--g", "0.75", "--restarts", "0", "--seed", "0"])
             == 2
         )
+        assert capsys.readouterr().err.endswith("error: restarts must be positive, got 0\n")
+        # the ascent's step cap is a constant, not a flag
+        assert main(["optimize", "--n", "2", "--g", "0.75", "--iters", "5", "--seed", "0"]) == 2
         capsys.readouterr()
 
 

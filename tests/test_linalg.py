@@ -72,6 +72,32 @@ class TestCheckDim:
                 linalg.check_dim(n)
 
 
+class TestBlocks:
+    @staticmethod
+    def _covered(ranges):
+        return [i for lo, hi in ranges for i in range(lo, hi)]
+
+    def test_a_count_that_is_not_a_multiple_of_the_step(self):
+        item = linalg.BLOCK_BYTES // 3  # three items a block
+        ranges = list(linalg.blocks(10, item))
+        assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert self._covered(ranges) == list(range(10))
+
+    def test_an_item_larger_than_the_budget_goes_alone(self):
+        ranges = list(linalg.blocks(4, 3 * linalg.BLOCK_BYTES))
+        assert ranges == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert self._covered(ranges) == list(range(4))
+
+    def test_count_zero_gives_no_range(self):
+        assert list(linalg.blocks(0, 16)) == []
+
+    def test_reads_the_budget_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 64)
+        ranges = list(linalg.blocks(5, 32))
+        assert ranges == [(0, 2), (2, 4), (4, 5)]
+        assert self._covered(ranges) == list(range(5))
+
+
 class TestPartialTrace:
     def test_product_state_factorization(self):
         rng = np.random.default_rng(7)

@@ -19,8 +19,8 @@ from qdecoy.attacks import (
 )
 from qdecoy.choi import ChoiState, apply_channel, choi_of_kraus
 from qdecoy.ensembles import Ensemble, decoy_ket, pairing_ensemble
-from qdecoy import metrics
-from qdecoy.linalg import herm_eig, inv_sqrt_psd, psd_check
+from qdecoy import linalg, metrics
+from qdecoy.linalg import BLOCK_BYTES, herm_eig, inv_sqrt_psd, psd_check
 from qdecoy.metrics import (
     estimation_fidelity,
     estimation_fidelity_functional,
@@ -223,7 +223,7 @@ class TestEstimationFidelity:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16, 32])
     def test_blocks_equal_the_whole_stack_sum(self, n, monkeypatch):
         # G and the guesses are bit for bit those of one einsum over the whole
-        # stack, in blocks of 128 KiB and in blocks of 3 outcomes
+        # stack, in blocks of 128 KiB of operators and in blocks of 3 outcomes
         stacks = [random_attack(n, outcomes=k, seed=n + k) for k in (1, n, n * n, n * n + 3)]
         for outcomes in (None, 3):
             if outcomes:
@@ -236,8 +236,9 @@ class TestEstimationFidelity:
                 assert g == d[np.arange(len(d)), guesses].sum() / n
 
     def test_holds_no_conjugated_stack(self):
-        # the (K, n) weights and about one block of temporaries (1.05 blocks
-        # measured); the whole-stack einsum holds a conjugated copy, 1.03 stacks
+        # the (K, n) weights and about one block's operators of temporaries
+        # (1.05 measured; a block's operators are BLOCK_BYTES // 8); the
+        # whole-stack einsum holds a conjugated copy, 1.03 stacks
         m = random_attack(32, seed=1)
         estimation_fidelity(m)
         tracemalloc.start()
@@ -247,7 +248,7 @@ class TestEstimationFidelity:
         finally:
             tracemalloc.stop()
         k, n, _ = m.ops.shape
-        assert peak < 8 * k * n + 2 * metrics._OUTCOME_BLOCK_BYTES
+        assert peak < 8 * k * n + 2 * BLOCK_BYTES // 8
 
     def test_random_attacks_stay_in_range(self):
         for seed in range(20):
@@ -308,7 +309,7 @@ def _weight_table(a):
 
 def _small_blocks(monkeypatch, n, outcomes):
     """Blocks of `outcomes` outcomes at dimension n, so small stacks cross block edges."""
-    monkeypatch.setattr(metrics, "_OUTCOME_BLOCK_BYTES", outcomes * 16 * n * n)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", outcomes * 128 * n * n)
 
 
 class TestClosedForm:
@@ -353,7 +354,7 @@ class TestClosedForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * metrics._OUTCOME_BLOCK_BYTES
+        assert peak < 5 * BLOCK_BYTES // 8
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_blocked_sum_equals_the_table(self, n, monkeypatch):
@@ -479,7 +480,7 @@ class TestInducedFidelity:
         m = random_attack(n, outcomes=k, seed=2)
         # blocks of 3 outcomes leave one block short; 16 holds all 5
         for e in (pairing_ensemble(n), _custom_ensemble(n, 5)):
-            monkeypatch.setattr(metrics, "_ORACLE_BLOCK_BYTES", outcomes * 48 * len(e.items))
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", outcomes * 48 * len(e.items))
             assert_allclose(induced_fidelity(m, e), _induced_fidelity_by_outcome(m, e), rtol=0, atol=1e-14)
 
     def test_block_temporaries_are_bounded(self):
@@ -495,7 +496,7 @@ class TestInducedFidelity:
             tracemalloc.stop()
         per_state = 8 * len(e.items)  # each state's running sum
         ufunc_buffer = 8192 * 16  # numpy's buffer for the broadcast products
-        assert peak <= metrics._ORACLE_BLOCK_BYTES + per_state + ufunc_buffer + 2**16
+        assert peak <= BLOCK_BYTES + per_state + ufunc_buffer + 2**16
 
 
 class TestFunctionalMatrices:

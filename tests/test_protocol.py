@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdecoy import metrics, protocol
+from qdecoy import linalg, protocol
 from qdecoy.attacks import (
     GeneralizedMeasurement,
     identity_attack,
@@ -469,7 +469,7 @@ class TestRunProtocol:
             k, n, _ = a.shape
             idx = np.arange(n)
             if outcomes:
-                monkeypatch.setattr(metrics, "_OUTCOME_BLOCK_BYTES", outcomes * 16 * n * n)
+                monkeypatch.setattr(linalg, "BLOCK_BYTES", outcomes * 128 * n * n)
             d = np.einsum("rij,rij->rj", a.conj(), a).real
             prod = a.real.transpose(0, 2, 1) @ a.imag
             pd = 0.5 * (d[:, :, None] + d[:, None, :]) - (prod - prod.transpose(0, 2, 1))
@@ -520,7 +520,7 @@ class TestRunProtocol:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < held + 8 * metrics._OUTCOME_BLOCK_BYTES
+        assert peak < held + 8 * linalg.BLOCK_BYTES // 8
 
     @pytest.mark.parametrize(
         "descriptor",

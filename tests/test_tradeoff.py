@@ -1,5 +1,6 @@
 """Tests for the disturbance bound, attack certification, and the optimizer."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -108,12 +109,25 @@ class TestSaturationGap:
                 assert saturation_gap(n, float(g)) <= 1e-9
 
 
+def _spy_on_points(monkeypatch) -> list:
+    """Record every point that certification evaluates, in order."""
+    points = []
+
+    def spy(m):
+        points.append(attack_point(m))
+        return points[-1]
+
+    monkeypatch.setattr("qdecoy.tradeoff.attack_point", spy)
+    return points
+
+
 class TestSweepRandom:
-    def test_margins_nonnegative(self):
-        points, min_margin = sweep_random(2, trials=25, seed=0)
+    def test_margins_nonnegative(self, monkeypatch):
+        points = _spy_on_points(monkeypatch)
+        worst = sweep_random(2, trials=25, seed=0)
         assert len(points) == 25
-        assert min_margin >= -1e-9
-        assert min_margin == min(p.margin for p in points)
+        assert worst.margin >= -1e-9
+        assert worst is min(points, key=lambda p: p.margin)
 
     def test_injected_attack_is_evaluated(self, monkeypatch):
         injected = probabilistic_attack(2, 0.5)
@@ -122,13 +136,15 @@ class TestSweepRandom:
             "qdecoy.tradeoff.random_attack",
             lambda n, seed=0: injected if seed == last_seed else random_attack(n, seed=seed),
         )
-        points, min_margin = sweep_random(2, trials=10, seed=0)
-        last = points[-1]
+        seen = []
+        worst = sweep_random(2, trials=10, seed=0, check=lambda m, p: seen.append(p))
+        last = seen[-1]
+        assert len(seen) == 10
         assert last.source == "prob(n=2,p=0.5)"
         assert_allclose(last.g, 0.75, rtol=0, atol=1e-12)
         assert_allclose(last.d, 0.125, rtol=0, atol=1e-12)
         assert last.margin > 0.05
-        assert min_margin >= -1e-9
+        assert worst.margin >= -1e-9
 
     def test_deterministic(self):
         ops_a, ops_b = [], []
@@ -138,7 +154,7 @@ class TestSweepRandom:
         for ma, mb in zip(ops_a, ops_b, strict=True):
             assert_array_equal(ma, mb)
         c = sweep_random(3, trials=8, seed=43)
-        assert c[0] != a[0]
+        assert c != a
 
     def test_trial_seeds_are_frozen(self):
         # the per-trial stream: SeedSequence(entropy=[seed, t]), first uint64 word
@@ -147,18 +163,37 @@ class TestSweepRandom:
             6635463128224577688,
             18279110831140952437,
         ]
-        points, _ = sweep_random(2, trials=3, seed=7)
-        for t, p in enumerate(points):
+        seen = []
+        sweep_random(2, trials=3, seed=7, check=lambda m, p: seen.append(p))
+        assert len(seen) == 3
+        for t, p in enumerate(seen):
             assert p == attack_point(random_attack(2, seed=trial_seed(7, t)))
 
-    def test_check_sees_the_first_attacks_with_their_points(self):
+    def test_check_sees_the_first_attacks_with_their_points(self, monkeypatch):
         for trials in (2, 12):
+            points = _spy_on_points(monkeypatch)
             seen = []
-            points, _ = sweep_random(2, trials=trials, seed=7, check=lambda m, p: seen.append((m.ops.copy(), p)))
+            sweep_random(2, trials=trials, seed=7, check=lambda m, p: seen.append((m.ops.copy(), p)))
+            assert len(points) == trials
             assert len(seen) == min(trials, 10)
             for t, (ops, p) in enumerate(seen):
                 assert_array_equal(ops, random_attack(2, seed=trial_seed(7, t)).ops)
                 assert p is points[t]
+
+    def test_memory_does_not_grow_with_trials(self):
+        # one attack and its point alive at a time; a list of every point
+        # grew by about 320 B per trial. A first sweep warms numpy's caches up,
+        # which would otherwise count in the first peak only
+        sweep_random(2, trials=2, seed=0)
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                sweep_random(2, trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * 2**10
 
     def test_check_sees_each_attack_freed_before_the_next_is_drawn(self, monkeypatch):
         refs = []
@@ -198,8 +233,7 @@ class TestSweepRandom:
 
     def test_margin_within_noise_passes(self, monkeypatch):
         self._margin_pinned_at(monkeypatch, -1e-10)
-        _, min_margin = sweep_random(2, trials=3, seed=0)
-        assert min_margin == -1e-10
+        assert sweep_random(2, trials=3, seed=0).margin == -1e-10
 
     def test_argument_guards(self):
         with pytest.raises(ValueError):
@@ -241,7 +275,7 @@ class TestAscent:
     @pytest.mark.parametrize("n, g", [(2, 0.75), (3, 0.6), (4, 0.625), (5, 0.201), (7, 0.1438)])
     def test_every_restart_finds_the_saturating_family(self, n, g):
         want = optimal_attack(n, g).ops
-        for stack in tradeoff._search(n, g, restarts=4, iters=2000, seed=0):
+        for stack in tradeoff._search(n, g, restarts=4, seed=0):
             # one phase per outcome, read off its diagonal entry at the outcome's own guess
             phase = stack[np.arange(n), np.arange(n), np.arange(n)]
             assert np.max(np.abs(stack * (np.abs(phase) / phase)[:, None, None] - want)) <= 1e-10
@@ -250,10 +284,10 @@ class TestAscent:
         starts = []
         ascend = tradeoff._ascend
 
-        def spy(a, lam, iters):
+        def spy(a, lam):
             if not starts:
                 starts.append(a.copy())
-            return ascend(a, lam, iters)
+            return ascend(a, lam)
 
         monkeypatch.setattr(tradeoff, "_ascend", spy)
         optimize_attack(3, 0.6, restarts=4, seed=0)
@@ -298,7 +332,7 @@ class TestOptimizeAttack:
         stack = np.zeros((3, 3, 3), dtype=complex)
         stack[0, [0, 1], [0, 1]] = 1.0
         stack[2, 2, 2] = 1.0
-        monkeypatch.setattr(tradeoff, "_ascend", lambda a, lam, iters: np.broadcast_to(stack, a.shape).copy())
+        monkeypatch.setattr(tradeoff, "_ascend", lambda a, lam: np.broadcast_to(stack, a.shape).copy())
         point, m = optimize_attack(3, 2 / 3, restarts=1, seed=0)
         assert len(m.ops) == 2
         assert_allclose(point.g, 2 / 3, rtol=0, atol=1e-12)
@@ -306,7 +340,7 @@ class TestOptimizeAttack:
         m.validate()
 
     def test_no_restart_left_when_every_one_is_singular(self, monkeypatch):
-        def singular(a, lam, iters):
+        def singular(a, lam):
             a = a.copy()
             a[..., 0] = 0.0  # column 0 of every outcome
             return tradeoff._polar(a)
