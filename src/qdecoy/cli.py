@@ -87,9 +87,13 @@ def _write_output(text: str, path: str | None) -> int:
         try:
             with os.fdopen(fd, "w", newline="") as fh:
                 fh.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's is 0o600; this is what a plain open gives a new file
+            try:
+                mode = os.stat(target).st_mode & 0o7777  # a rewritten file keeps its mode
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask  # mkstemp's is 0o600; this is what a plain open gives a new file
+            os.chmod(tmp, mode)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
@@ -223,15 +227,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _usage(str(exc))
     except MemoryError:
         return _runtime_failure(f"not enough memory to build {args.attack}")
-    if args.n is not None and args.n != attack.dim:
-        return _usage(f"--n {args.n} conflicts with descriptor dimension {attack.dim}")
     if args.shots < 1:
         return _usage(f"shots must be positive, got {args.shots}")
     if not 0.0 <= args.decoy_fraction <= 1.0:
         return _usage(f"decoy fraction {args.decoy_fraction} outside [0, 1]")
     try:
         report = run_protocol(
-            attack.dim,
             attack,
             shots=args.shots,
             decoy_fraction=args.decoy_fraction,
@@ -284,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="Monte Carlo the decoy protocol for an attack")
     simulate.add_argument("--attack", required=True, help='descriptor, e.g. "optimal(n=4,g=0.5)"')
-    simulate.add_argument("--n", type=int, default=None, help="channel dimension (must match the descriptor)")
     simulate.add_argument("--shots", type=int, default=100000)
     simulate.add_argument("--decoy-fraction", type=float, default=0.5)
     simulate.add_argument("--seed", type=int, required=True)

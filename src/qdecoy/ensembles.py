@@ -20,12 +20,13 @@ from .linalg import check_dim
 _UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite ensemble of pure states: items are (weight, unit ket) pairs.
+    """Finite ensemble of pure states: `weights` (N,) and unit `kets` (N, dim).
 
-    Construction also stacks them once, as read-only arrays: `weights`
-    (length N) and `kets` (N, dim), and the nonzero entries of each state's
+    Construction copies both into read-only arrays, after checking that their
+    shapes agree, that the weights are nonnegative and sum to 1 and that every
+    ket has unit norm. It also keeps the nonzero entries of each state's
     vector conj(phi) ⊗ phi, which the definition sum reads. Row i of
     `support` (N, w) holds vec indices a*dim + b over the pairs of nonzero
     positions a, b of ket i, and row i of `coef` (N, w) the entries
@@ -33,26 +34,25 @@ class Ensemble:
     rows are padded with zero coefficients. A decoy of the pairing ensemble
     touches two basis states, so w = 4 there; dense kets give w = dim^2.
     Both come from each ket's nonzero positions, never from an (N, dim^2)
-    table.
+    table. Ensembles compare and hash by identity.
     """
 
-    dim: int
-    items: tuple
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    kets: np.ndarray = field(init=False, repr=False, compare=False)
-    support: np.ndarray = field(init=False, repr=False, compare=False)
-    coef: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray
+    kets: np.ndarray
+    support: np.ndarray = field(init=False, repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        weights = np.array([w for w, _ in self.items], dtype=float)
-        if abs(weights.sum() - 1.0) > _UNIT_TOL:
+        weights = np.array(self.weights, dtype=float)
+        kets = np.array(self.kets, dtype=complex)
+        if weights.ndim != 1 or kets.ndim != 2 or len(kets) != len(weights):
+            raise ValueError(f"weights of shape {weights.shape} and kets of shape {kets.shape} do not agree")
+        if not np.all(weights >= 0):
+            raise ValueError(f"weights must be nonnegative, got {weights.min()!r}")
+        if not abs(weights.sum() - 1.0) <= _UNIT_TOL:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
-        for _, ket in self.items:
-            if ket.shape != (self.dim,):
-                raise ValueError("ket dimension mismatch")
-            if abs(np.linalg.norm(ket) - 1.0) > _UNIT_TOL:
-                raise ValueError("ket is not normalized")
-        kets = np.array([ket for _, ket in self.items], dtype=complex)
+        if not np.all(np.abs(np.linalg.norm(kets, axis=1) - 1.0) <= _UNIT_TOL):
+            raise ValueError("ket is not normalized")
         nonzero = kets != 0
         counts = nonzero.sum(axis=1, keepdims=True)
         s = int(counts.max())
@@ -61,11 +61,15 @@ class Ensemble:
         pos = np.argsort(~nonzero, axis=1, kind="stable")[:, :s]
         amp = np.take_along_axis(kets, pos, axis=1)
         amp[np.arange(s) >= counts] = 0
-        support = (pos[:, :, None] * self.dim + pos[:, None, :]).reshape(len(kets), s * s)
+        support = (pos[:, :, None] * kets.shape[1] + pos[:, None, :]).reshape(len(kets), s * s)
         coef = (amp.conj()[:, :, None] * amp[:, None, :]).reshape(len(kets), s * s)
         for name, arr in (("weights", weights), ("kets", kets), ("support", support), ("coef", coef)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def dim(self) -> int:
+        return self.kets.shape[1]
 
 
 def _check_index(j: int, n: int) -> None:
@@ -90,8 +94,5 @@ def decoy_ket(j: int, k: int, n: int) -> np.ndarray:
 def pairing_ensemble(n: int) -> Ensemble:
     """Uniform mixture of the n^2 decoy states over ordered pairs (j, k)."""
     check_dim(n)
-    w = 1.0 / (n * n)
-    items = tuple(
-        (w, decoy_ket(j, k, n)) for j in range(n) for k in range(n)
-    )
-    return Ensemble(dim=n, items=items)
+    kets = np.stack([decoy_ket(j, k, n) for j in range(n) for k in range(n)])
+    return Ensemble(weights=np.full(n * n, 1.0 / (n * n)), kets=kets)

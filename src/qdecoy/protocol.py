@@ -218,7 +218,6 @@ def _cells(rng: np.random.Generator, table: np.ndarray, trials: np.ndarray):
 
 
 def run_protocol(
-    n: int,
     attack: GeneralizedMeasurement,
     shots: int,
     decoy_fraction: float = 0.5,
@@ -226,9 +225,8 @@ def run_protocol(
     sample_bob: bool = False,
 ) -> SimReport:
     """Simulate `shots` trials; deterministic for fixed arguments and seed."""
+    n = attack.dim
     check_dim(n)
-    if attack.dim != n:
-        raise ValueError(f"attack dimension {attack.dim} != n = {n}")
     if not 1 <= shots <= _MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {_MAX_SHOTS}], got {shots}")
     if not 0.0 <= decoy_fraction <= 1.0:

@@ -205,13 +205,11 @@ def test_7_monte_carlo_consistency(announce):
         ]
         for m in families:
             for seed in range(20):
-                rep = run_protocol(n, m, shots=100000, seed=seed)
+                rep = run_protocol(m, shots=100000, seed=seed)
                 runs += 1
                 hits += int(rep.g_within_4se and rep.d_within_4se)
     m = optimal_attack(4, 0.75)
-    reproducible = run_protocol(4, m, shots=100000, seed=0) == run_protocol(
-        4, m, shots=100000, seed=0
-    )
+    reproducible = run_protocol(m, shots=100000, seed=0) == run_protocol(m, shots=100000, seed=0)
     rate = hits / runs
     dt = time.perf_counter() - t0
     ok = rate >= 0.95 and reproducible and dt < 60.0

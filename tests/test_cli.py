@@ -73,6 +73,20 @@ class TestCurve:
             os.umask(old)
         assert capsys.readouterr().out == ""
 
+    def test_out_file_keeps_an_existing_targets_mode(self, tmp_path, capsys):
+        # a restricted results file stays restricted when it is rewritten
+        path = tmp_path / "curve.csv"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            assert main(["curve", "--n", "3", "--points", "3", "--out", str(path)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert len(_rows(path.read_text())) == 3
+        assert capsys.readouterr().out == ""
+
     def test_usage_errors(self, capsys):
         assert main(["curve", "--n", "1"]) == 2
         assert "error: need dimension n >= 2, got 1" in capsys.readouterr().err

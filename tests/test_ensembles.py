@@ -12,13 +12,12 @@ from qdecoy import attacks, ensembles, linalg, metrics
 def _canonical_ensemble(n):
     """The n basis states, weight 1/n each: the message words."""
     linalg.check_dim(n)
-    eye = np.eye(n, dtype=complex)
-    return ensembles.Ensemble(dim=n, items=tuple((1.0 / n, eye[j]) for j in range(n)))
+    return ensembles.Ensemble(weights=np.full(n, 1.0 / n), kets=np.eye(n, dtype=complex))
 
 
 def _average_density(e):
     """Mixture density matrix sum_i p_i |phi_i><phi_i|."""
-    return sum(w * np.outer(ket, ket.conj()) for w, ket in e.items)
+    return sum(w * np.outer(ket, ket.conj()) for w, ket in zip(e.weights, e.kets))
 
 
 def _tamper_projectors(j, k, n):
@@ -31,8 +30,8 @@ def _tamper_projectors(j, k, n):
 class TestCanonical:
     def test_two_level_content(self):
         e = _canonical_ensemble(2)
-        assert e.dim == 2 and len(e.items) == 2
-        for j, (w, ket) in enumerate(e.items):
+        assert e.dim == 2 and len(e.weights) == 2
+        for j, (w, ket) in enumerate(zip(e.weights, e.kets)):
             assert w == 0.5
             want = np.zeros(2, dtype=complex)
             want[j] = 1.0
@@ -82,16 +81,15 @@ class TestDecoyKet:
 class TestPairing:
     def test_two_level_items(self):
         e = ensembles.pairing_ensemble(2)
-        assert len(e.items) == 4
-        kets = [ket for _, ket in e.items]
-        npt.assert_array_equal(kets[0], [1.0, 0.0])
-        npt.assert_allclose(kets[1], np.array([1.0, 1.0j]) / np.sqrt(2), atol=1e-15)
-        npt.assert_allclose(kets[2], np.array([1.0j, 1.0]) / np.sqrt(2), atol=1e-15)
-        npt.assert_array_equal(kets[3], [0.0, 1.0])
-        assert all(w == 0.25 for w, _ in e.items)
+        assert len(e.kets) == 4
+        npt.assert_array_equal(e.kets[0], [1.0, 0.0])
+        npt.assert_allclose(e.kets[1], np.array([1.0, 1.0j]) / np.sqrt(2), atol=1e-15)
+        npt.assert_allclose(e.kets[2], np.array([1.0j, 1.0]) / np.sqrt(2), atol=1e-15)
+        npt.assert_array_equal(e.kets[3], [0.0, 1.0])
+        assert all(e.weights == 0.25)
 
     def test_item_count(self):
-        assert len(ensembles.pairing_ensemble(7).items) == 49
+        assert len(ensembles.pairing_ensemble(7).kets) == 49
 
     def test_average_density_matches_canonical(self):
         for n in range(2, 17):
@@ -138,17 +136,27 @@ class TestEnsembleValidation:
     def test_bad_weights_rejected(self):
         ket = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
-            ensembles.Ensemble(dim=2, items=((0.6, ket), (0.6, ket)))
+            ensembles.Ensemble(weights=[0.6, 0.6], kets=[ket, ket])
 
     def test_unnormalized_ket_rejected(self):
         bad = np.array([1.0, 1.0], dtype=complex)
         with pytest.raises(ValueError):
-            ensembles.Ensemble(dim=2, items=((1.0, bad),))
+            ensembles.Ensemble(weights=[1.0], kets=[bad])
 
     def test_dimension_mismatch_rejected(self):
-        ket = np.array([1.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError):
-            ensembles.Ensemble(dim=2, items=((1.0, ket),))
+        # one weight per ket, and each ket a row of the (N, dim) array
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="do not agree"):
+            ensembles.Ensemble(weights=[1.0], kets=[eye[0], eye[1]])
+        with pytest.raises(ValueError, match="do not agree"):
+            ensembles.Ensemble(weights=[1.0], kets=eye[0])
+        with pytest.raises(ValueError, match="do not agree"):
+            ensembles.Ensemble(weights=[[0.5, 0.5]], kets=eye)
+
+    def test_negative_weight_rejected(self):
+        # (1.5, -0.5) sums to 1, but a state cannot be drawn with negative probability
+        with pytest.raises(ValueError, match="nonnegative"):
+            ensembles.Ensemble(weights=[1.5, -0.5], kets=np.eye(2, dtype=complex))
 
 
 class TestEnsembleArrays:
@@ -158,13 +166,18 @@ class TestEnsembleArrays:
         rng = np.random.default_rng(seed)
         kets = rng.normal(size=(size, n)) + 1j * rng.normal(size=(size, n))
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        return ensembles.Ensemble(dim=n, items=tuple(zip(rng.dirichlet(np.ones(size)), kets)))
+        return ensembles.Ensemble(weights=rng.dirichlet(np.ones(size)), kets=kets)
 
-    def test_arrays_are_read_only_stacks_of_the_items(self):
-        for e in (ensembles.pairing_ensemble(3), self._random_ensemble(4, 7, seed=0)):
-            npt.assert_array_equal(e.weights, [w for w, _ in e.items])
-            npt.assert_array_equal(e.kets, [ket for _, ket in e.items])
-            assert e.kets.shape == (len(e.items), e.dim)
+    def test_arrays_are_read_only_copies_of_the_inputs(self):
+        weights = np.array([0.25, 0.75])
+        kets = np.eye(3, dtype=complex)[:2]
+        e = ensembles.Ensemble(weights=weights, kets=kets)
+        weights[0], kets[0, 0] = 0.5, 0.0  # the caller's arrays stay writable and unshared
+        npt.assert_array_equal(e.weights, [0.25, 0.75])
+        npt.assert_array_equal(e.kets, np.eye(3)[:2])
+        assert e.dim == 3
+        for e in (e, ensembles.pairing_ensemble(3), self._random_ensemble(4, 7, seed=0)):
+            assert e.weights.shape == (len(e.kets),) and e.kets.shape == (len(e.kets), e.dim)
             for arr in (e.weights, e.kets, e.support, e.coef):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -175,10 +188,10 @@ class TestEnsembleArrays:
         for e in (ensembles.pairing_ensemble(3), _canonical_ensemble(4), self._random_ensemble(4, 7, seed=0)):
             n = e.dim
             assert e.support.shape == e.coef.shape
-            dense = np.zeros((len(e.items), n * n), dtype=complex)
+            dense = np.zeros((len(e.kets), n * n), dtype=complex)
             for row, (idx, c) in enumerate(zip(e.support, e.coef)):
                 np.add.at(dense[row], idx, c)
-            want = np.array([np.kron(ket.conj(), ket) for _, ket in e.items])
+            want = np.array([np.kron(ket.conj(), ket) for ket in e.kets])
             npt.assert_array_equal(dense, want)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
@@ -205,9 +218,27 @@ class TestEnsembleArrays:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_pairing_ensemble_holds_only_its_arrays(self):
+        # weights, kets, support and coef take 4.4 MiB at n = 64; a tuple of
+        # (weight, ket) pairs beside them held as much again
+        tracemalloc.start()
+        try:
+            e = ensembles.pairing_ensemble(64)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e.kets.shape == (4096, 64)
+        assert held <= 5 * 2**20
+
+    def test_ensembles_compare_and_hash_by_identity(self):
+        # a field-wise == would take the truth value of an array comparison
+        a, b = ensembles.pairing_ensemble(2), ensembles.pairing_ensemble(2)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_definition_sum_reads_the_arrays(self, n):
         e = self._random_ensemble(n, 2 * n + 3, seed=n)
         m = attacks.random_attack(n, outcomes=n + 2, seed=n)
-        want = sum(w * sum(abs(ket.conj() @ op @ ket) ** 2 for op in m.ops) for w, ket in e.items)
+        want = sum(w * sum(abs(ket.conj() @ op @ ket) ** 2 for op in m.ops) for w, ket in zip(e.weights, e.kets))
         assert abs(metrics.induced_fidelity(m, e) - want) <= 1e-14

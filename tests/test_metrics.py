@@ -66,8 +66,7 @@ def banaszek_bound(g, m, n):
 
 def _canonical_ensemble(n):
     """The n basis states, weight 1/n each: the message words."""
-    eye = np.eye(n, dtype=complex)
-    return Ensemble(dim=n, items=tuple((1.0 / n, eye[j]) for j in range(n)))
+    return Ensemble(weights=np.full(n, 1.0 / n), kets=np.eye(n, dtype=complex))
 
 
 def _rand_diagonal_attack(n, k, rng):
@@ -137,8 +136,7 @@ def _dense_trace(m):
 
 def _induced_fidelity_by_outcome(m, e):
     """The definition sum one outcome at a time, with (states, n) temporaries."""
-    weights = np.array([w for w, _ in e.items])
-    kets = np.array([ket for _, ket in e.items])
+    weights, kets = e.weights, e.kets
     bras = kets.conj()
     per_state = np.zeros(len(weights))
     for op in m.ops:
@@ -152,7 +150,7 @@ def _custom_ensemble(n, seed):
     kets = rng.normal(size=(n + 3, n)) + 1j * rng.normal(size=(n + 3, n))
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     weights = rng.dirichlet(np.ones(n + 3))
-    return Ensemble(dim=n, items=tuple(zip(weights, kets)))
+    return Ensemble(weights=weights, kets=kets)
 
 
 def _guesses_by_loop(m):
@@ -451,11 +449,12 @@ class TestInducedFidelity:
                 m = random_attack(n, seed=seed)
                 choi = choi_of_kraus(m.ops)
                 total = 0.0
-                for w, ket in pairing_ensemble(n).items:
+                e = pairing_ensemble(n)
+                for w, ket in zip(e.weights, e.kets):
                     rho = np.outer(ket, ket.conj())
                     out = apply_channel(choi, rho)
                     total += w * float((ket.conj() @ out @ ket).real)
-                f = induced_fidelity(m, pairing_ensemble(n))
+                f = induced_fidelity(m, e)
                 assert_allclose(f, total, rtol=0, atol=1e-12)
 
     def test_saturating_attack_disturbance(self):
@@ -480,7 +479,7 @@ class TestInducedFidelity:
         m = random_attack(n, outcomes=k, seed=2)
         # blocks of 3 outcomes leave one block short; 16 holds all 5
         for e in (pairing_ensemble(n), _custom_ensemble(n, 5)):
-            monkeypatch.setattr(linalg, "BLOCK_BYTES", outcomes * 48 * len(e.items))
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", outcomes * 48 * len(e.weights))
             assert_allclose(induced_fidelity(m, e), _induced_fidelity_by_outcome(m, e), rtol=0, atol=1e-14)
 
     def test_block_temporaries_are_bounded(self):
@@ -494,7 +493,7 @@ class TestInducedFidelity:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        per_state = 8 * len(e.items)  # each state's running sum
+        per_state = 8 * len(e.weights)  # each state's running sum
         ufunc_buffer = 8192 * 16  # numpy's buffer for the broadcast products
         assert peak <= BLOCK_BYTES + per_state + ufunc_buffer + 2**16
 

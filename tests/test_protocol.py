@@ -263,7 +263,7 @@ class TestCountSampler:
 
         monkeypatch.setattr(protocol, "_multinomial_rows", spy("multinomial", protocol._multinomial_rows))
         monkeypatch.setattr(protocol, "_sample_outcomes", spy("search", protocol._sample_outcomes))
-        rep = run_protocol(16, random_attack(16, seed=1), 100000, seed=1)
+        rep = run_protocol(random_attack(16, seed=1), 100000, seed=1)
         assert calls["multinomial"] >= 1 and calls["search"] >= 1
         assert rep.g_within_4se and rep.d_within_4se
 
@@ -274,7 +274,7 @@ class TestCountSampler:
         m = random_attack(4, outcomes=128, seed=5)
         zg, zd = [], []
         for seed in range(240):
-            rep = run_protocol(4, m, 3000, seed=seed, sample_bob=sample_bob)
+            rep = run_protocol(m, 3000, seed=seed, sample_bob=sample_bob)
             g, d = rep.g_analytic, rep.d_analytic
             zg.append((rep.g_hat - g) / np.sqrt(g * (1 - g) / rep.message_trials))
             zd.append((rep.d_hat - d) / np.sqrt(d * (1 - d) / rep.decoy_trials))
@@ -290,12 +290,12 @@ class TestCountSampler:
 
     def test_memory_does_not_grow_with_shots(self):
         m = random_attack(16, seed=1)
-        run_protocol(16, m, 10, seed=0)
+        run_protocol(m, 10, seed=0)
         peaks = []
         for shots in (10**5, 10**8):
             tracemalloc.start()
             try:
-                run_protocol(16, m, shots, seed=1)
+                run_protocol(m, shots, seed=1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -304,7 +304,7 @@ class TestCountSampler:
 
 class TestRunProtocol:
     def test_identity_never_detected(self):
-        rep = run_protocol(4, identity_attack(4), shots=20000, seed=3)
+        rep = run_protocol(identity_attack(4), shots=20000, seed=3)
         assert rep.d_hat == 0.0
         assert rep.d_analytic == 0.0
         assert rep.g_analytic == 0.25
@@ -312,7 +312,7 @@ class TestRunProtocol:
         assert rep.message_trials + rep.decoy_trials == 20000
 
     def test_projective_always_guesses(self):
-        rep = run_protocol(2, projective_attack(2), shots=20000, seed=1)
+        rep = run_protocol(projective_attack(2), shots=20000, seed=1)
         assert rep.g_hat == 1.0
         assert rep.d_analytic == 0.25
         assert rep.d_within_4se
@@ -321,22 +321,22 @@ class TestRunProtocol:
     def test_saturating_attack_flags(self):
         m = optimal_attack(4, 0.5)
         for seed in range(4):
-            rep = run_protocol(4, m, shots=20000, seed=seed)
+            rep = run_protocol(m, shots=20000, seed=seed)
             assert rep.g_within_4se
             assert rep.d_within_4se
 
     def test_deterministic(self):
         m = probabilistic_attack(3, 0.4)
-        a = run_protocol(3, m, shots=5000, seed=11)
-        b = run_protocol(3, m, shots=5000, seed=11)
+        a = run_protocol(m, shots=5000, seed=11)
+        b = run_protocol(m, shots=5000, seed=11)
         assert a == b
-        c = run_protocol(3, m, shots=5000, seed=12)
+        c = run_protocol(m, shots=5000, seed=12)
         assert c != a
 
     def test_sample_bob_mode(self):
         m = optimal_attack(4, 0.5)
-        exact = run_protocol(4, m, shots=20000, seed=0)
-        sampled = run_protocol(4, m, shots=20000, seed=0, sample_bob=True)
+        exact = run_protocol(m, shots=20000, seed=0)
+        sampled = run_protocol(m, shots=20000, seed=0, sample_bob=True)
         assert sampled.sample_bob and not exact.sample_bob
         assert sampled.d_within_4se
         assert sampled.d_hat != exact.d_hat
@@ -345,12 +345,12 @@ class TestRunProtocol:
 
     def test_decoy_fraction_extremes(self):
         m = projective_attack(2)
-        only_decoys = run_protocol(2, m, shots=500, decoy_fraction=1.0, seed=0)
+        only_decoys = run_protocol(m, shots=500, decoy_fraction=1.0, seed=0)
         assert only_decoys.g_hat is None
         assert only_decoys.g_within_4se is None
         assert only_decoys.message_trials == 0
         assert only_decoys.d_hat is not None
-        only_messages = run_protocol(2, m, shots=500, decoy_fraction=0.0, seed=0)
+        only_messages = run_protocol(m, shots=500, decoy_fraction=0.0, seed=0)
         assert only_messages.d_hat is None
         assert only_messages.decoy_trials == 0
         assert only_messages.g_hat == 1.0
@@ -364,7 +364,7 @@ class TestRunProtocol:
                 probabilistic_attack(n, 0.3),
             ]
             for m in attacks:
-                rep = run_protocol(n, m, shots=10, seed=0)
+                rep = run_protocol(m, shots=10, seed=0)
                 g_def, _ = estimation_fidelity(m)
                 d_def = 1.0 - induced_fidelity(m, pairing_ensemble(n))
                 assert_allclose(rep.g_analytic, g_def, rtol=0, atol=1e-12)
@@ -373,7 +373,7 @@ class TestRunProtocol:
 
     def test_seeded_report_pinned(self):
         # recorded from the count sampler (stream 0.2.0, unchanged in 0.2.1): dense message rows, sparse decoy rows
-        rep = run_protocol(16, random_attack(16, seed=1), 100000, seed=1)
+        rep = run_protocol(random_attack(16, seed=1), 100000, seed=1)
         assert rep == SimReport(
             n=16,
             shots=100000,
@@ -396,9 +396,7 @@ class TestRunProtocol:
     def test_seeded_sampled_report_pinned(self):
         # recorded from the count sampler (stream 0.2.0, unchanged in 0.2.1): K = 27 is not a power of
         # two, and Bob's bit is sampled
-        rep = run_protocol(
-            5, random_attack(5, outcomes=27, seed=3), 30000, decoy_fraction=0.3, seed=7, sample_bob=True
-        )
+        rep = run_protocol(random_attack(5, outcomes=27, seed=3), 30000, decoy_fraction=0.3, seed=7, sample_bob=True)
         assert rep == SimReport(
             n=5,
             shots=30000,
@@ -423,7 +421,7 @@ class TestRunProtocol:
         m = random_attack(16, seed=1)
         tracemalloc.start()
         try:
-            run_protocol(16, m, 200000, seed=1)
+            run_protocol(m, 200000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -432,17 +430,17 @@ class TestRunProtocol:
     def test_incomplete_attack_rejected(self):
         bad = GeneralizedMeasurement([0.9 * np.eye(2, dtype=complex)], descriptor="corrupt")
         with pytest.raises(ValueError, match="not complete"):
-            run_protocol(2, bad, shots=10, seed=0)
+            run_protocol(bad, shots=10, seed=0)
 
     def test_completeness_tolerance_is_default_tol(self):
         # level 0's outcome probabilities sum to 1 + excess: within DEFAULT_TOL = 1e-9 it runs
         for excess, ok in ((5e-10, True), (2e-9, False)):
             m = GeneralizedMeasurement([np.diag([np.sqrt(1.0 + excess), 1.0]).astype(complex)])
             if ok:
-                assert run_protocol(2, m, shots=10, seed=0).shots == 10
+                assert run_protocol(m, shots=10, seed=0).shots == 10
             else:
                 with pytest.raises(ValueError, match="not complete"):
-                    run_protocol(2, m, shots=10, seed=0)
+                    run_protocol(m, shots=10, seed=0)
 
     def test_pair_tables_match_decoy_states(self):
         # every table entry from its definition on the decoy ket
@@ -453,7 +451,7 @@ class TestRunProtocol:
                 gram = op.conj().T @ op
                 assert_allclose(p_msg[:, r], np.diag(gram).real, rtol=0, atol=1e-15)
                 for j, k in np.ndindex(n, n):
-                    ket = pairing_ensemble(n).items[j * n + k][1]
+                    ket = pairing_ensemble(n).kets[j * n + k]
                     want_p = (ket.conj() @ gram @ ket).real
                     assert_allclose(p_decoy[j * n + k, r], want_p, rtol=0, atol=1e-15)
                     assert_allclose(weights[j * n + k, r], abs(ket.conj() @ op @ ket) ** 2, rtol=0, atol=1e-15)
@@ -498,7 +496,7 @@ class TestRunProtocol:
 
         monkeypatch.setattr(protocol, "estimation_fidelity", spy)
         monkeypatch.setattr(protocol, "_cells", cells)
-        run_protocol(3, random_attack(3, seed=1), shots=2000, seed=0)
+        run_protocol(random_attack(3, seed=1), shots=2000, seed=0)
         assert len(outs) == 1 and outs[0] is not None
         assert len(tables) == 2 and tables[0].base is outs[0]
         np.testing.assert_array_equal(tables[0], outs[0].T)
@@ -536,20 +534,18 @@ class TestRunProtocol:
     def test_d_analytic_is_the_evaluators_d(self, descriptor):
         # simulate and verify print the same D for an attack, to the last bit
         m = parse_descriptor(descriptor)
-        assert run_protocol(m.dim, m, shots=10, seed=0).d_analytic == attack_point(m).d
+        assert run_protocol(m, shots=10, seed=0).d_analytic == attack_point(m).d
 
     def test_argument_guards(self):
         m = identity_attack(2)
         with pytest.raises(ValueError):
-            run_protocol(1, identity_attack(2), shots=10)
+            run_protocol(GeneralizedMeasurement(np.ones((1, 1, 1))), shots=10)
         with pytest.raises(ValueError):
-            run_protocol(3, m, shots=10)
-        with pytest.raises(ValueError):
-            run_protocol(2, m, shots=0)
+            run_protocol(m, shots=0)
         with pytest.raises(ValueError, match="shots must lie in"):
-            run_protocol(2, m, shots=2**63)
-        assert run_protocol(2, m, shots=2**63 - 1).message_trials > 0
+            run_protocol(m, shots=2**63)
+        assert run_protocol(m, shots=2**63 - 1).message_trials > 0
         with pytest.raises(ValueError):
-            run_protocol(2, m, shots=10, decoy_fraction=1.5)
+            run_protocol(m, shots=10, decoy_fraction=1.5)
         with pytest.raises(ValueError):
-            run_protocol(2, m, shots=10, decoy_fraction=-0.1)
+            run_protocol(m, shots=10, decoy_fraction=-0.1)
