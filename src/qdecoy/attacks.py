@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ZERO_NORM, blocks, check_dim, frobenius_norms, inv_sqrt_psd
+from .linalg import DEFAULT_TOL, ZERO_NORM, blocks, check_dim, check_seed, frobenius_norms, inv_sqrt_psd
 
 log = logging.getLogger(__name__)
 
@@ -191,8 +191,7 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     k = n * n if outcomes is None else int(outcomes)
     if k < 1:
         raise ValueError("need at least one outcome")
-    if seed < 0:  # numpy's generators reject it with a message that names no seed
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     for attempt in range(8):
         rng = np.random.default_rng([seed, attempt])
         # one draw of the real parts, then the imaginary parts: the stream of two draws,

@@ -3,10 +3,12 @@
 Four subcommands: `curve` emits the bound curve as CSV/JSON, `verify` runs the
 certification sweep and the named-family checks, `simulate` Monte-Carlos the
 protocol for a described attack, `optimize` rediscovers the least-disturbance
-attack at fixed estimation fidelity. Exit codes: 0 success, 1 verification,
-contract or write failure, 2 usage/parse error. Randomized commands require a
-nonnegative --seed and are bit-reproducible given it. File output is atomic
-(temp file + rename).
+attack at fixed estimation fidelity. Exit codes, mapped in `main` alone, each
+with one stderr line: 0 success; 2 a usage error or any input the library
+refuses (a ValueError, whose message names the input); 1 a failed
+verification, a RuntimeError, a MemoryError or an unwritable --out.
+Randomized commands require a nonnegative --seed and are bit-reproducible
+given it. File output is atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _write_output(text: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(text)
         return 0
-    target = os.path.abspath(path)
+    target = os.path.realpath(path)  # a symlink is written through, as a plain open does
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".qdecoy-tmp-")
         try:
@@ -104,14 +106,11 @@ def _write_output(text: str, path: str | None) -> int:
     return 0
 
 
-def _check_n(n: int) -> str | None:
-    try:
-        check_dim(n)
-    except ValueError as exc:
-        return str(exc)
+def _check_n(n: int) -> None:
+    """Raise unless n is a dimension within the exact-evaluation cap, before any 1 / n."""
+    check_dim(n)
     if n > _N_CAP:
-        return f"n = {n} exceeds the exact-evaluation cap {_N_CAP}"
-    return None
+        raise ValueError(f"n = {n} exceeds the exact-evaluation cap {_N_CAP}")
 
 
 def _sci(tol: float) -> str:
@@ -121,9 +120,7 @@ def _sci(tol: float) -> str:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    problem = _check_n(args.n)
-    if problem:
-        return _usage(problem)
+    _check_n(args.n)
     if args.points < 2:
         return _usage(f"need at least 2 grid points, got {args.points}")
     if args.points > _POINTS_CAP:
@@ -168,9 +165,7 @@ class _CrossCheck:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem = _check_n(args.n)
-    if problem:
-        return _usage(problem)
+    _check_n(args.n)
     if args.trials < 0:
         return _usage(f"trials must be nonnegative, got {args.trials}")
     if args.trials > 0 and args.seed is None:
@@ -221,45 +216,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        attack = parse_descriptor(args.attack)
-    except ValueError as exc:
-        return _usage(str(exc))
-    except MemoryError:
-        return _runtime_failure(f"not enough memory to build {args.attack}")
-    if args.shots < 1:
-        return _usage(f"shots must be positive, got {args.shots}")
-    if not 0.0 <= args.decoy_fraction <= 1.0:
-        return _usage(f"decoy fraction {args.decoy_fraction} outside [0, 1]")
-    try:
-        report = run_protocol(
-            attack,
-            shots=args.shots,
-            decoy_fraction=args.decoy_fraction,
-            seed=args.seed,
-            sample_bob=args.sample_bob,
-        )
-    except ValueError as exc:
-        return _runtime_failure(str(exc))
-    except MemoryError:
-        return _runtime_failure(f"not enough memory to simulate {args.shots} shots of {attack.descriptor}")
+    report = run_protocol(
+        parse_descriptor(args.attack),
+        shots=args.shots,
+        decoy_fraction=args.decoy_fraction,
+        seed=args.seed,
+        sample_bob=args.sample_bob,
+    )
     return _write_output(json.dumps(asdict(report), indent=2) + "\n", args.out)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    problem = _check_n(args.n)
-    if problem:
-        return _usage(problem)
+    _check_n(args.n)
     if args.n > _OPTIMIZE_N_CAP:
         return _usage(f"n = {args.n} exceeds the search cap {_OPTIMIZE_N_CAP}")
-    if not 1.0 / args.n <= args.g <= 1.0:
-        return _usage(f"--g {args.g} outside [1/{args.n}, 1]")
-    if args.restarts < 1:
-        return _usage(f"restarts must be positive, got {args.restarts}")
-    try:
-        point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, seed=args.seed)
-    except RuntimeError as exc:
-        return _runtime_failure(str(exc))
+    point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, seed=args.seed)
     return _write_output(json.dumps(asdict(point), indent=2) + "\n", args.out)
 
 
@@ -315,11 +286,18 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # verify, simulate and optimize take a seed; numpy's generators reject a negative one
+    # verify, simulate and optimize take a seed; checked here too, as verify --trials 0 passes none on
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         return _usage(f"--seed must be nonnegative, got {seed}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the library refused an input, and its message names it
+        return _usage(str(exc))
+    except MemoryError:
+        return _runtime_failure(f"not enough memory to run {args.command}")
+    except RuntimeError as exc:
+        return _runtime_failure(str(exc))
 
 
 if __name__ == "__main__":

@@ -36,6 +36,12 @@ def check_dim(n: int) -> None:
         raise ValueError(f"need dimension n >= 2, got {n}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise unless seed is nonnegative; numpy's generators reject it with a message that names no seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def is_hermitian(m: np.ndarray) -> bool:
     """True iff max |M_ij - conj(M_ji)| <= DEFAULT_TOL."""
     m = np.asarray(m)

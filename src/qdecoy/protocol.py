@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import GeneralizedMeasurement
-from .linalg import DEFAULT_TOL, check_dim
+from .linalg import DEFAULT_TOL, check_dim, check_seed
 from .metrics import _outcome_blocks, estimation_fidelity, induced_fidelity_closed
 
 #: conditional probabilities within this of 0 or 1 are physically exact events
@@ -231,6 +231,7 @@ def run_protocol(
         raise ValueError(f"shots must lie in [1, {_MAX_SHOTS}], got {shots}")
     if not 0.0 <= decoy_fraction <= 1.0:
         raise ValueError(f"decoy fraction {decoy_fraction} outside [0, 1]")
+    check_seed(seed)
 
     d = np.empty(attack.ops.shape[:2])
     g_analytic, guesses = estimation_fidelity(attack, out=d)

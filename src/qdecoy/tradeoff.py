@@ -28,7 +28,7 @@ from .attacks import (
     projective_attack,
     random_attack,
 )
-from .linalg import check_dim
+from .linalg import check_dim, check_seed
 from .metrics import _decoy_amplitudes, estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
 
 #: margins at or above this are float noise; below it an attack or metric is broken
@@ -160,6 +160,7 @@ def sweep_random(
     other point, so memory does not grow with `trials`.
     """
     check_dim(n)
+    check_seed(seed)
     drawn = (random_attack(n, seed=trial_seed(seed, t)) for t in range(trials))
     return certify(drawn, check, checked=_KEPT)
 
@@ -276,6 +277,9 @@ def optimize_attack(
     g_target = float(g_target)
     if not 1.0 / n <= g_target <= 1.0:
         raise ValueError(f"estimation fidelity target {g_target} outside [1/{n}, 1]")
+    if restarts < 1:
+        raise ValueError(f"restarts must be positive, got {restarts}")
+    check_seed(seed)
     source = f"optimized(n={n},g={g_target!r},seed={seed})"
 
     if g_target == 1.0:

@@ -87,6 +87,17 @@ class TestCurve:
         assert len(_rows(path.read_text())) == 3
         assert capsys.readouterr().out == ""
 
+    def test_out_writes_through_a_symlink(self, tmp_path, capsys):
+        # as a plain open does: the link stays a link, and the file it names gets the curve
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real.name)
+        assert main(["curve", "--n", "3", "--points", "3", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert len(_rows(real.read_text())) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+        assert capsys.readouterr().out == ""
+
     def test_usage_errors(self, capsys):
         assert main(["curve", "--n", "1"]) == 2
         assert "error: need dimension n >= 2, got 1" in capsys.readouterr().err
@@ -278,7 +289,7 @@ class TestSimulate:
 
     def test_shot_counts_beyond_64_bits_fail_in_one_line(self, capsys):
         args = ["simulate", "--attack", "identity(n=2)", "--shots", str(10**20), "--seed", "0"]
-        assert main(args) == 1
+        assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: shots must lie in") and err.count("\n") == 1
 
@@ -329,7 +340,7 @@ class TestSimulate:
 
     def test_runtime_failure_exits_one(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
-            raise ValueError("boom")
+            raise RuntimeError("boom")
 
         monkeypatch.setattr("qdecoy.cli.run_protocol", boom)
         args = ["simulate", "--attack", "identity(n=2)", "--shots", "10", "--seed", "0"]
@@ -401,6 +412,36 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no feasible candidate found at (n=3, g=0.6)\n"
+
+
+class TestExitCodes:
+    # each command's library entry, as the command module names it
+    _COMMANDS = {
+        "curve": ("disturbance_bound", ["curve", "--n", "3", "--points", "3"]),
+        "verify": ("sweep_random", ["verify", "--n", "2", "--trials", "1", "--seed", "0"]),
+        "simulate": ("run_protocol", ["simulate", "--attack", "identity(n=2)", "--shots", "10", "--seed", "0"]),
+        "optimize": ("optimize_attack", ["optimize", "--n", "3", "--g", "0.6", "--seed", "0"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize(
+        "error, code",
+        # a plain RuntimeError: verify reports a BoundViolation on stdout instead
+        [(ValueError("refused"), 2), (MemoryError(), 1), (RuntimeError("failed"), 1)],
+        ids=["ValueError", "MemoryError", "RuntimeError"],
+    )
+    def test_library_errors_end_in_one_line(self, capsys, monkeypatch, command, error, code):
+        callee, argv = self._COMMANDS[command]
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"qdecoy.cli.{callee}", fail)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:")
 
 
 class TestParser:

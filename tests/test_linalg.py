@@ -5,6 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from qdecoy import linalg
+from qdecoy.attacks import identity_attack
+from qdecoy.protocol import run_protocol
+from qdecoy.tradeoff import optimize_attack, sweep_random
 
 
 def _rand_complex(rng, m, n):
@@ -70,6 +73,22 @@ class TestCheckDim:
         for n in (1, 0, -3):
             with pytest.raises(ValueError, match=f"need dimension n >= 2, got {n}"):
                 linalg.check_dim(n)
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: optimize_attack(3, 0.6, restarts=1, seed=seed),
+            lambda seed: run_protocol(identity_attack(2), 10, seed=seed),
+            lambda seed: sweep_random(2, 1, seed=seed),
+        ],
+        ids=["optimize_attack", "run_protocol", "sweep_random"],
+    )
+    def test_library_names_a_negative_seed(self, call):
+        # not numpy's "expected non-negative integer", which names no seed
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            call(-1)
 
 
 class TestBlocks:

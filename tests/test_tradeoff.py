@@ -368,3 +368,9 @@ class TestOptimizeAttack:
             optimize_attack(3, 1.1)
         with pytest.raises(ValueError):
             optimize_attack(1, 0.9)
+
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_must_be_positive(self, restarts):
+        # not "no feasible candidate" after an empty search, nor numpy's "negative dimensions"
+        with pytest.raises(ValueError, match=f"restarts must be positive, got {restarts}"):
+            optimize_attack(3, 0.6, restarts=restarts)
