@@ -52,7 +52,6 @@ from .tradeoff import (
     attack_point,
     disturbance_bound,
     optimize_attack,
-    saturation_gap,
     sweep_random,
 )
 from .protocol import SimReport, run_protocol
@@ -93,7 +92,6 @@ __all__ = [
     "BoundViolation",
     "disturbance_bound",
     "attack_point",
-    "saturation_gap",
     "sweep_random",
     "optimize_attack",
     "SimReport",

@@ -72,7 +72,7 @@ class GeneralizedMeasurement:
     def _check_complete(self, gram: np.ndarray | None = None) -> None:
         """Raise unless complete; `gram` is sum_r A_r†A_r, if the caller has already formed it."""
         res = self.completeness_residual() if gram is None else _identity_residual(gram)
-        if res > DEFAULT_TOL:
+        if not res <= DEFAULT_TOL:
             raise ValueError(f"completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
 
 
@@ -117,7 +117,7 @@ def _from_family(ops, descriptor: str, gram: np.ndarray | None = None) -> Genera
     change it.
     """
     a = np.asarray(ops, dtype=complex)
-    keep = frobenius_norms(a) >= ZERO_NORM
+    keep = ~(frobenius_norms(a) < ZERO_NORM)  # a NaN operator is kept, and fails completeness
     dropped = int(keep.size - keep.sum())
     if dropped:
         log.info("%s: dropped %d zero-probability outcome(s)", descriptor, dropped)

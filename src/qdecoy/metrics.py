@@ -94,30 +94,19 @@ def _decoy_amplitudes(a: np.ndarray) -> np.ndarray:
     return amp
 
 
-def _decoy_weights(a: np.ndarray, out: np.ndarray | None = None):
-    """Yield the squared decoy amplitudes of a (K, n, n) Kraus stack one block of outcomes at a time.
-
-    Block entry [r, j, k] is |<phi_jk|A_r|phi_jk>|^2 (_decoy_amplitudes).
-    Each block's squares are written into its rows of `out`, a real
-    (K, n, n) table, when one is given, else into a new array; every entry
-    is the same expression whatever the block.
-    """
-    for lo, hi, blk in _outcome_blocks(a):
-        w = np.abs(_decoy_amplitudes(blk), out=None if out is None else out[lo:hi])
-        yield np.square(w, out=w)
-
-
 def induced_fidelity_closed(a: np.ndarray, out: np.ndarray | None = None) -> float:
-    """F over the pairing ensemble in O(K n^2): the squared decoy amplitudes,
-    summed one block of outcomes at a time (_decoy_weights).
+    """F over the pairing ensemble in O(K n^2): the squared decoy amplitudes
+    |<phi_jk|A_r|phi_jk>|^2 (_decoy_amplitudes), summed one block of outcomes at a time.
 
-    Given a real (K, n, n) `out`, the squares are also kept there, so the
-    protocol's weight table and its F come from one pass.
+    Given a real (K, n, n) `out`, each block's squares are written into its
+    rows there, so the protocol's weight table and its F come from one pass;
+    every entry is the same expression whatever the block.
     """
     n = a.shape[1]
     total = 0.0
-    for w in _decoy_weights(a, out):
-        total += np.sum(w)
+    for lo, hi, blk in _outcome_blocks(a):
+        w = np.abs(_decoy_amplitudes(blk), out=None if out is None else out[lo:hi])
+        total += np.sum(np.square(w, out=w))
     return float(total / (n * n))
 
 

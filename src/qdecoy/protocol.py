@@ -114,7 +114,7 @@ def _pair_tables(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 def _check_complete(rows: np.ndarray, what: str) -> None:
     worst = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
-    if worst > DEFAULT_TOL:
+    if not worst <= DEFAULT_TOL:
         raise ValueError(
             f"outcome probabilities over {what} sum off by {worst:.3e}; the attack is not complete"
         )

@@ -1,4 +1,4 @@
-"""The information-gain/disturbance tradeoff: bound, saturation, certification.
+"""The information-gain/disturbance tradeoff: bound, certification, search.
 
 Any complete measurement on the n-dim channel with estimation fidelity G
 disturbs the pairing-ensemble decoys by at least
@@ -24,12 +24,17 @@ from .attacks import (
     GeneralizedMeasurement,
     _from_family,
     diagonal_attack,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.diagonal_attack
-    optimal_attack,
+    optimal_attack,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.optimal_attack
     projective_attack,
     random_attack,
 )
 from .linalg import check_dim, check_seed
-from .metrics import _decoy_amplitudes, estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
+from .metrics import (
+    _decoy_amplitudes,
+    estimation_fidelity,
+    induced_fidelity_closed,
+    induced_fidelity_functional,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.induced_fidelity_functional
+)
 
 #: margins at or above this are float noise; below it an attack or metric is broken
 _NOISE = -1e-9
@@ -85,7 +90,7 @@ def attack_point(m: GeneralizedMeasurement) -> TradeoffPoint:
     d = 1.0 - induced_fidelity_closed(m.ops)
     # completeness noise can push G a few ulp outside [1/n, 1]
     g_eval = min(max(g, 1.0 / n), 1.0)
-    if abs(g_eval - g) > _G_TOL:
+    if not abs(g_eval - g) <= _G_TOL:
         raise ValueError(f"estimation fidelity {g} outside [1/{n}, 1] beyond tolerance")
     b = disturbance_bound(g_eval, n)
     return TradeoffPoint(
@@ -96,17 +101,6 @@ def attack_point(m: GeneralizedMeasurement) -> TradeoffPoint:
         margin=float(d - b),
         source=m.descriptor,
     )
-
-
-def saturation_gap(n: int, g: float) -> float:
-    """|D - bound| for the saturating family at (n, g); contract: <= 1e-9.
-
-    D comes from the state-operator route, not from the evaluator that
-    attack_point uses, so this check grades that evaluator independently.
-    """
-    m = optimal_attack(n, g)
-    d = 1.0 - induced_fidelity_functional(m)
-    return abs(d - disturbance_bound(g, n))
 
 
 def trial_seed(seed: int, t: int) -> int:
@@ -131,7 +125,7 @@ def certify(
     worst, count = None, 0
     for m in attacks:  # not enumerate: its cached tuple would keep the last attack alive
         p = attack_point(m)
-        if p.margin < _NOISE:
+        if not p.margin >= _NOISE:
             raise BoundViolation(
                 f"attack {p.source!r} lands {-p.margin:.3e} below the proven bound "
                 f"(G={p.g!r}, D={p.d!r}); this indicates a broken attack or metric"
@@ -295,8 +289,8 @@ def optimize_attack(
         except ValueError:  # a zeroed restart, or one that is not complete
             continue
         p = attack_point(m)
-        # a margin below noise is only reachable through float pathology
-        if abs(p.g - g_target) > _G_TOL or p.margin < _NOISE:
+        # a margin below noise, or a NaN, is only reachable through float pathology
+        if not (abs(p.g - g_target) <= _G_TOL and p.margin >= _NOISE):
             continue
         if best is None or p.d < best[0].d:
             best = (p, m)

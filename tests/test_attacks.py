@@ -33,6 +33,11 @@ class TestFromKraus:
         with pytest.raises(ValueError):
             attacks.from_kraus([np.eye(2), np.zeros((2, 2))])
 
+    def test_nan_operator_rejected(self):
+        # a NaN completeness residual fails the check, as a large one does
+        with pytest.raises(ValueError, match="completeness violated: residual nan"):
+            attacks.from_kraus([[[np.nan, 0], [0, 1]]])
+
     def test_empty_and_ragged_rejected(self):
         with pytest.raises(ValueError):
             attacks.from_kraus([])
@@ -295,6 +300,11 @@ class TestDiagonalAttack:
     def test_single_all_ones_is_identity(self):
         m = attacks.diagonal_attack([np.ones(4)])
         npt.assert_array_equal(m.ops[0], np.eye(4))
+
+    def test_nan_row_is_kept_and_rejected(self):
+        # a NaN row is not a zero outcome to drop, which would leave the identity
+        with pytest.raises(ValueError, match="completeness violated: residual nan"):
+            attacks.diagonal_attack([[np.nan, np.nan], [1, 1]])
 
     def test_optimal_family_expansion(self):
         n, g = 4, 0.37

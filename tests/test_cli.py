@@ -177,6 +177,25 @@ class TestVerify:
         fails = [x for x in capsys.readouterr().out.splitlines() if x.startswith("verify: FAIL")]
         assert [x.rsplit(" ", 1)[1] for x in fails] == ["1e-9)", "1e-12)", "1e-10)", "1e-10)"]
 
+    def test_nan_closed_form_fails(self, capsys, monkeypatch):
+        # a NaN margin fails certification at the first named attack
+        monkeypatch.setattr("qdecoy.tradeoff.induced_fidelity_closed", lambda a: np.nan)
+        assert main(["verify", "--n", "2", "--trials", "3", "--seed", "1"]) == 1
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("verify: FAIL (attack 'projective(n=2)' lands nan below the proven bound ")
+
+    def test_nan_functional_fails(self, capsys, monkeypatch):
+        # the saturation gap and the running residual both keep the NaN
+        monkeypatch.setattr("qdecoy.cli.induced_fidelity_functional", lambda m: np.nan)
+        assert main(["verify", "--n", "2"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "max saturation gap (11-point optimal grid): nan" in out
+        assert "max |F_def - F_functional|: nan" in out
+        assert [x for x in out if x.startswith("verify: ")] == [
+            "verify: FAIL (saturation gap nan at g=0.5 exceeds 1e-9)",
+            "verify: FAIL (fidelity functional residual nan exceeds 1e-10)",
+        ]
+
     def test_cross_check_attacks_are_the_sweeps_first_ten(self, monkeypatch):
         for trials in (3, 12):
             built, checked = [], []
@@ -376,7 +395,9 @@ class TestOptimize:
     def test_usage_errors(self, capsys):
         assert main(["optimize", "--n", "3", "--g", "0.1", "--seed", "0"]) == 2
         assert main(["optimize", "--n", "3", "--g", "1.5", "--seed", "0"]) == 2
+        capsys.readouterr()
         assert main(["optimize", "--n", "1", "--g", "0.9", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "error: need dimension n >= 2, got 1\n"
         assert main(["optimize", "--n", "2", "--g", "0.75"]) == 2
         assert (
             main(["optimize", "--n", "2", "--g", "0.75", "--restarts", "0", "--seed", "0"])
@@ -396,10 +417,12 @@ class TestOptimize:
             raise Searched
 
         monkeypatch.setattr("qdecoy.tradeoff._ascend", ascend)
-        assert main(["optimize", "--n", "25", "--g", "0.5", "--seed", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: n = 25 exceeds the search cap 24\n"
+        # the search cap alone refuses every n above it, however large
+        for n in (25, 65, 10**400):
+            assert main(["optimize", "--n", str(n), "--g", "0.5", "--seed", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n = {n} exceeds the search cap 24\n"
         with pytest.raises(Searched):
             main(["optimize", "--n", "24", "--g", "0.5", "--restarts", "1", "--seed", "0"])
 

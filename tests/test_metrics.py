@@ -326,7 +326,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_amplitudes_equal_the_complex_expression(self, n, monkeypatch):
         # every weight is |amp|^2 of the one complex expression, bit for bit, in
-        # whole-stack blocks and in blocks of 3 outcomes, kept in a table or not
+        # whole-stack blocks and in blocks of 3 outcomes, and F is the same
+        # whether the weights are kept in a table or not
         stacks = [random_attack(n, outcomes=k, seed=n + k).ops for k in (1, n, n * n, n * n + 3)]
         stacks += [m.ops for m in (optimal_attack(n, 0.6), projective_attack(n), identity_attack(n))]
         for outcomes in (None, 3):
@@ -334,9 +335,9 @@ class TestClosedForm:
                 _small_blocks(monkeypatch, n, outcomes)
             for a in stacks:
                 want = np.abs(_reference_amplitudes(a)) ** 2
-                assert_array_equal(_weight_table(a)[0], want)
-                fresh = np.concatenate(list(metrics._decoy_weights(a)))
-                assert_array_equal(fresh.reshape(len(a), n * n).T, want)
+                w, f = _weight_table(a)
+                assert_array_equal(w, want)
+                assert induced_fidelity_closed(a) == f
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_amplitudes_hold_no_stack_sized_temporary(self, n):

@@ -432,6 +432,12 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="not complete"):
             run_protocol(bad, shots=10, seed=0)
 
+    def test_nan_attack_rejected_before_any_draw(self):
+        # the protocol's completeness check refuses it before numpy's sampler sees a NaN
+        bad = GeneralizedMeasurement([[[np.nan, 0], [0, 1]]], descriptor="nan")
+        with pytest.raises(ValueError, match="not complete"):
+            run_protocol(bad, shots=10, seed=0)
+
     def test_completeness_tolerance_is_default_tol(self):
         # level 0's outcome probabilities sum to 1 + excess: within DEFAULT_TOL = 1e-9 it runs
         for excess, ok in ((5e-10, True), (2e-9, False)):

@@ -17,13 +17,12 @@ from qdecoy.attacks import (
     random_attack,
 )
 from qdecoy import tradeoff
-from qdecoy.metrics import induced_fidelity_closed
+from qdecoy.metrics import induced_fidelity_closed, induced_fidelity_functional
 from qdecoy.tradeoff import (
     BoundViolation,
     attack_point,
     disturbance_bound,
     optimize_attack,
-    saturation_gap,
     sweep_random,
     trial_seed,
 )
@@ -95,18 +94,23 @@ class TestAttackPoint:
             attack_point(m)
 
 
+def _saturation_gap(n, g):
+    """|D - bound| on the saturating family, with D from the state-operator route, not attack_point's evaluator."""
+    return abs((1.0 - induced_fidelity_functional(optimal_attack(n, g))) - disturbance_bound(g, n))
+
+
 class TestSaturationGap:
     def test_endpoints(self):
-        assert saturation_gap(2, 1.0) <= 1e-12
-        assert saturation_gap(10, 0.1) <= 1e-12
+        assert _saturation_gap(2, 1.0) <= 1e-12
+        assert _saturation_gap(10, 0.1) <= 1e-12
 
     def test_interior(self):
-        assert saturation_gap(4, 0.6) <= 1e-9
+        assert _saturation_gap(4, 0.6) <= 1e-9
 
     def test_grid(self):
         for n in (2, 3, 4):
             for g in np.linspace(1.0 / n, 1.0, 11):
-                assert saturation_gap(n, float(g)) <= 1e-9
+                assert _saturation_gap(n, float(g)) <= 1e-9
 
 
 def _spy_on_points(monkeypatch) -> list:
@@ -145,6 +149,11 @@ class TestSweepRandom:
         assert_allclose(last.d, 0.125, rtol=0, atol=1e-12)
         assert last.margin > 0.05
         assert worst.margin >= -1e-9
+
+    def test_nan_fidelity_fails_certification(self, monkeypatch):
+        monkeypatch.setattr(tradeoff, "induced_fidelity_closed", lambda a: np.nan)
+        with pytest.raises(BoundViolation, match="lands nan below the proven bound"):
+            sweep_random(2, trials=5, seed=1)
 
     def test_deterministic(self):
         ops_a, ops_b = [], []
@@ -346,6 +355,15 @@ class TestOptimizeAttack:
             return tradeoff._polar(a)
 
         monkeypatch.setattr(tradeoff, "_ascend", singular)
+        with pytest.raises(RuntimeError, match="no feasible candidate"):
+            optimize_attack(3, 0.6, restarts=2, seed=0)
+
+    def test_nan_point_is_not_a_candidate(self, monkeypatch):
+        # a NaN D, and so a NaN margin, is dropped like a margin below noise
+        def nan_d(m):
+            return replace(attack_point(m), d=np.nan, margin=np.nan)
+
+        monkeypatch.setattr(tradeoff, "attack_point", nan_d)
         with pytest.raises(RuntimeError, match="no feasible candidate"):
             optimize_attack(3, 0.6, restarts=2, seed=0)
 
