@@ -56,7 +56,7 @@ from .tradeoff import (
 )
 from .protocol import SimReport, run_protocol
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "DEFAULT_TOL",

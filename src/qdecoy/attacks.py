@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -28,23 +28,38 @@ _REWHITEN_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedMeasurement:
-    """Kraus set {A_r} as one read-only (K, n, n) complex array, in outcome order.
+    """Complete Kraus set {A_r} as one read-only (K, n, n) complex array, in outcome order.
 
-    The operators are copied once on construction, so later changes to the
-    caller's arrays do not reach the attack. Construction checks only the
-    shape, not completeness (tests need to build corrupt instances); use
-    from_kraus or call validate() to enforce it. descriptor is provenance text.
+    Construction is the one place an attack is checked. It copies the
+    operators once, so later changes to the caller's arrays do not reach the
+    attack; checks the (K, n, n) shape and n >= 2; drops zero operators
+    (outcomes that never fire); and raises unless what is left is nonempty
+    and complete within DEFAULT_TOL. `gram` is sum_r A_r†A_r, if the caller
+    has already formed it from these operators; dropped ones are zero, so
+    they do not change it. descriptor is provenance text.
     """
 
     ops: np.ndarray
     descriptor: str = ""
+    gram: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, gram):
         ops = np.array(self.ops, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError(f"Kraus operators must form a (K, n, n) stack, got shape {ops.shape}")
+        check_dim(ops.shape[1])
+        keep = ~(frobenius_norms(ops) < ZERO_NORM)  # a NaN operator is kept, and fails completeness
+        dropped = int(keep.size - keep.sum())
+        if dropped:
+            log.info("%s: dropped %d zero-probability outcome(s)", self.descriptor, dropped)
+            ops = ops[keep]
+        if not len(ops):
+            raise ValueError(f"{self.descriptor}: no nonzero outcomes")
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
+        res = self.completeness_residual() if gram is None else _identity_residual(gram)
+        if not res <= DEFAULT_TOL:
+            raise ValueError(f"completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
 
     @property
     def dim(self) -> int:
@@ -59,21 +74,6 @@ class GeneralizedMeasurement:
         rows = self.ops.reshape(-1, self.dim)
         total = sum(gram_sum(rows[lo:hi]) for lo, hi in blocks(len(rows), rows[0].nbytes))
         return _identity_residual(total)
-
-    def validate(self) -> None:
-        """Raise unless this is a well-formed complete measurement."""
-        if not len(self.ops):
-            raise ValueError("measurement has no outcomes")
-        zero = np.flatnonzero(frobenius_norms(self.ops) < ZERO_NORM)
-        if zero.size:
-            raise ValueError(f"outcome {zero[0]}: zero operator")
-        self._check_complete()
-
-    def _check_complete(self, gram: np.ndarray | None = None) -> None:
-        """Raise unless complete; `gram` is sum_r A_r†A_r, if the caller has already formed it."""
-        res = self.completeness_residual() if gram is None else _identity_residual(gram)
-        if not res <= DEFAULT_TOL:
-            raise ValueError(f"completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
 
 
 def gram_sum(a: np.ndarray) -> np.ndarray:
@@ -96,37 +96,15 @@ def _whiten(b: np.ndarray, s_inv_sqrt: np.ndarray) -> np.ndarray:
 
 
 def from_kraus(ops) -> GeneralizedMeasurement:
-    """Validated measurement from a nonempty list of uniform square operators.
+    """Measurement from a list of uniform square operators, described as custom(n=.., k=..).
 
-    The descriptor is read off the stack's shape first, so the operators are
-    copied once, by the one construction.
+    k counts the operators given, zero ones included. The descriptor is read
+    off the stack's shape first, so the operators are copied once, by the one
+    construction, which checks them.
     """
     a = np.asarray(ops, dtype=complex)
     # a stack of the wrong shape gets no descriptor; the constructor rejects it
-    m = GeneralizedMeasurement(a, f"custom(n={a.shape[-1]},k={len(a)})" if a.ndim == 3 else "")
-    m.validate()
-    return m
-
-
-def _from_family(ops, descriptor: str, gram: np.ndarray | None = None) -> GeneralizedMeasurement:
-    """Family constructor back end: drop zero operators, check completeness.
-
-    The norms are taken once here, so what is kept is nonempty and nonzero and
-    only completeness is left to check, against `gram` (sum_r A_r†A_r) when
-    the caller has formed it; dropped operators are zero, so they do not
-    change it.
-    """
-    a = np.asarray(ops, dtype=complex)
-    keep = ~(frobenius_norms(a) < ZERO_NORM)  # a NaN operator is kept, and fails completeness
-    dropped = int(keep.size - keep.sum())
-    if dropped:
-        log.info("%s: dropped %d zero-probability outcome(s)", descriptor, dropped)
-    if not keep.any():
-        raise ValueError(f"{descriptor}: no nonzero outcomes")
-    # a[keep] is a copy, made only when an outcome goes
-    m = GeneralizedMeasurement(a[keep] if dropped else a, descriptor)
-    m._check_complete(gram)
-    return m
+    return GeneralizedMeasurement(a, f"custom(n={a.shape[-1]},k={len(a)})" if a.ndim == 3 else "")
 
 
 def _basis_projectors(n: int) -> np.ndarray:
@@ -140,13 +118,13 @@ def _basis_projectors(n: int) -> np.ndarray:
 def identity_attack(n: int) -> GeneralizedMeasurement:
     """Single-outcome do-nothing measurement {Id}."""
     check_dim(n)
-    return _from_family([np.eye(n, dtype=complex)], f"identity(n={n})")
+    return GeneralizedMeasurement([np.eye(n, dtype=complex)], f"identity(n={n})")
 
 
 def projective_attack(n: int) -> GeneralizedMeasurement:
     """Full basis readout {|r><r|}."""
     check_dim(n)
-    return _from_family(_basis_projectors(n), f"projective(n={n})")
+    return GeneralizedMeasurement(_basis_projectors(n), f"projective(n={n})")
 
 
 def optimal_attack(n: int, g: float) -> GeneralizedMeasurement:
@@ -162,7 +140,7 @@ def optimal_attack(n: int, g: float) -> GeneralizedMeasurement:
     mu = np.sqrt((1.0 - g) / (n - 1))
     proj = _basis_projectors(n)
     ops = np.sqrt(g) * proj + mu * (np.eye(n, dtype=complex) - proj)
-    return _from_family(ops, f"optimal(n={n},g={g!r})")
+    return GeneralizedMeasurement(ops, f"optimal(n={n},g={g!r})")
 
 
 def probabilistic_attack(n: int, p: float) -> GeneralizedMeasurement:
@@ -172,7 +150,7 @@ def probabilistic_attack(n: int, p: float) -> GeneralizedMeasurement:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"interception probability {p} outside [0, 1]")
     ops = np.concatenate([np.sqrt(p) * _basis_projectors(n), [np.sqrt(1.0 - p) * np.eye(n)]])
-    return _from_family(ops, f"prob(n={n},p={p!r})")
+    return GeneralizedMeasurement(ops, f"prob(n={n},p={p!r})")
 
 
 def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> GeneralizedMeasurement:
@@ -184,8 +162,8 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
     ill-conditioned S (say, one nearly singular outcome) costs S^(-1/2) digits,
     so a draw left more than _REWHITEN_TOL from completeness is whitened once
     more by its now near-identity Gram sum, which brings it to rounding.
-    The Gram sum of the first whitening is also the completeness check; a
-    re-whitened draw is checked afresh.
+    The Gram sum of the first whitening is handed to the constructor as its
+    completeness check; a re-whitened draw is checked afresh.
     """
     check_dim(n)
     k = n * n if outcomes is None else int(outcomes)
@@ -210,7 +188,7 @@ def random_attack(n: int, outcomes: int | None = None, seed: int = 0) -> General
         if _identity_residual(s) > _REWHITEN_TOL:
             b = _whiten(b, inv_sqrt_psd(s))
             s = None
-        return _from_family(b, f"random(n={n},k={k},seed={seed})", gram=s)
+        return GeneralizedMeasurement(b, f"random(n={n},k={k},seed={seed})", gram=s)
     raise ValueError(f"random draw not normalizable after 8 attempts (n={n}, k={k}, seed={seed})")
 
 
@@ -229,7 +207,7 @@ def diagonal_attack(rows) -> GeneralizedMeasurement:
     k, n = a.shape
     ops = np.zeros((k, n, n), dtype=complex)
     ops[:, np.arange(n), np.arange(n)] = a
-    return _from_family(ops, f"diagonal(n={n},k={k})")
+    return GeneralizedMeasurement(ops, f"diagonal(n={n},k={k})")
 
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-z]+)\s*\(\s*([^()]*)\s*\)\s*$")

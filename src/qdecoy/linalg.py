@@ -26,8 +26,8 @@ def blocks(count: int, item_bytes: int):
 
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each operator in a complex (K, m, n) stack, summed over a real view: no copy."""
-    parts = np.ascontiguousarray(a).reshape(len(a), -1).view(np.float64)
-    return np.sqrt(np.einsum("ri,ri->r", parts, parts))
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return np.sqrt(np.einsum("rij,rij->r", parts, parts))
 
 
 def check_dim(n: int) -> None:

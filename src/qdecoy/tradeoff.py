@@ -22,7 +22,6 @@ import numpy as np
 
 from .attacks import (
     GeneralizedMeasurement,
-    _from_family,
     diagonal_attack,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.diagonal_attack
     optimal_attack,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.optimal_attack
     projective_attack,
@@ -182,7 +181,7 @@ def _polar(x: np.ndarray) -> np.ndarray:
     """The polar factor X (X†X)^(-1/2) of each (n n, n) row stack X of an (R, n, n, n) array.
 
     One whose Gram matrix X†X is singular to float precision is zeroed, not
-    divided by zero, so the family back end drops it.
+    divided by zero, so the attack's constructor drops it.
     """
     k, n = x.shape[:2]
     rows = x.reshape(k, n * n, n)
@@ -263,9 +262,9 @@ def optimize_attack(
     Searches n-outcome attacks in which outcome r guesses r for the largest
     F at G = g_target, by polar ascent of F + λG from `restarts` random
     complex starts (_search), each ascent of at most _ASCENT_STEPS steps. Each
-    restart is built through the family back end, which drops zero outcomes
-    and checks completeness, and is scored by attack_point. Returns the
-    point with the least D and its attack.
+    restart is built by the GeneralizedMeasurement constructor, which drops
+    zero outcomes and checks completeness, and is scored by attack_point.
+    Returns the point with the least D and its attack.
     """
     check_dim(n)
     g_target = float(g_target)
@@ -285,7 +284,7 @@ def optimize_attack(
     best: tuple[TradeoffPoint, GeneralizedMeasurement] | None = None
     for stack in _search(n, g_target, restarts, seed):
         try:
-            m = _from_family(stack, source)
+            m = GeneralizedMeasurement(stack, source)
         except ValueError:  # a zeroed restart, or one that is not complete
             continue
         p = attack_point(m)

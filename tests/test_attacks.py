@@ -29,9 +29,11 @@ class TestFromKraus:
         with pytest.raises(ValueError):
             attacks.from_kraus([proj])
 
-    def test_zero_operator_rejected(self):
-        with pytest.raises(ValueError):
-            attacks.from_kraus([np.eye(2), np.zeros((2, 2))])
+    def test_zero_operator_dropped(self):
+        # an outcome that never fires is dropped, as the families drop one; k counts what was given
+        m = attacks.from_kraus([np.eye(2), np.zeros((2, 2))])
+        npt.assert_array_equal(m.ops, [np.eye(2)])
+        assert m.descriptor == "custom(n=2,k=2)"
 
     def test_nan_operator_rejected(self):
         # a NaN completeness residual fails the check, as a large one does
@@ -73,12 +75,6 @@ class TestFromKraus:
         m = attacks.from_kraus([np.outer(eye[r], eye[r]) for r in range(n)])
         npt.assert_allclose(_coeff_norm_sq(m), n, atol=1e-12)
 
-    def test_zero_operator_message_names_outcome_index(self):
-        eye = np.eye(2, dtype=complex)
-        bad = attacks.GeneralizedMeasurement([eye, eye, np.zeros((2, 2))], descriptor="corrupt")
-        with pytest.raises(ValueError, match="outcome 2: zero operator"):
-            bad.validate()
-
     def test_completeness_residual_matches_loop(self):
         m = attacks.random_attack(3, 5, seed=4)
         s = sum(op.conj().T @ op for op in m.ops)
@@ -94,14 +90,8 @@ class TestFromKraus:
         assert m.completeness_residual() == pytest.approx(whole, abs=1e-15)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
         assert m.completeness_residual() == pytest.approx(whole, abs=1e-15)
-        bad = attacks.GeneralizedMeasurement(np.concatenate([m.ops, m.ops[:1]]), descriptor="corrupt")
         with pytest.raises(ValueError, match="completeness violated"):
-            bad.validate()
-
-    def test_corrupt_instance_fails_validate(self):
-        bad = attacks.GeneralizedMeasurement([0.5 * np.eye(2, dtype=complex)], descriptor="corrupt")
-        with pytest.raises(ValueError):
-            bad.validate()
+            attacks.GeneralizedMeasurement(np.concatenate([m.ops, m.ops[:1]]))
 
 
 class TestRepresentation:
@@ -217,8 +207,45 @@ class TestNamedFamilies:
             attacks.probabilistic_attack(4, 0.25),
             attacks.random_attack(4, 7, seed=1),
         ):
-            m.validate()
+            assert m.completeness_residual() <= linalg.DEFAULT_TOL
             npt.assert_allclose(_coeff_norm_sq(m), 4, atol=1e-8)
+
+
+class TestConstructorChecks:
+    """An attack that exists is complete: the constructor refuses every other stack."""
+
+    def test_refuses_incomplete_stack(self):
+        with pytest.raises(ValueError, match="completeness violated"):
+            attacks.GeneralizedMeasurement([0.9 * np.eye(2, dtype=complex)])
+
+    def test_refuses_nan_stack(self):
+        with pytest.raises(ValueError, match="completeness violated: residual nan"):
+            attacks.GeneralizedMeasurement([[[np.nan, 0], [0, 1]]])
+
+    def test_refuses_one_dimensional_stack(self):
+        with pytest.raises(ValueError, match="need dimension n >= 2, got 1"):
+            attacks.GeneralizedMeasurement(np.ones((1, 1, 1)))
+
+    def test_refuses_empty_and_all_zero_stacks(self):
+        for ops in (np.zeros((0, 2, 2)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="bare: no nonzero outcomes"):
+                attacks.GeneralizedMeasurement(ops, "bare")
+
+    def test_completeness_tolerance_is_default_tol(self):
+        # level 0's outcome weights sum to 1 + excess: within DEFAULT_TOL = 1e-9 it is accepted
+        for excess, ok in ((5e-10, True), (2e-9, False)):
+            ops = [np.diag([np.sqrt(1.0 + excess), 1.0])]
+            if ok:
+                assert attacks.GeneralizedMeasurement(ops).dim == 2
+            else:
+                with pytest.raises(ValueError, match="completeness violated"):
+                    attacks.GeneralizedMeasurement(ops)
+
+    def test_a_given_gram_sum_is_the_check(self):
+        eye = np.eye(2, dtype=complex)
+        assert len(attacks.GeneralizedMeasurement([eye], gram=eye).ops) == 1
+        with pytest.raises(ValueError, match="completeness violated"):
+            attacks.GeneralizedMeasurement([eye], gram=2 * eye)
 
 
 class TestRandomAttack:

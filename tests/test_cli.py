@@ -15,7 +15,6 @@ import pytest
 
 import qdecoy
 from qdecoy import attacks, cli
-from qdecoy.attacks import GeneralizedMeasurement
 from qdecoy.cli import main
 from qdecoy.metrics import induced_fidelity, induced_fidelity_closed
 from qdecoy.tradeoff import disturbance_bound
@@ -142,14 +141,15 @@ class TestVerify:
         assert main(["verify", "--n", "65"]) == 2
 
     def test_broken_attack_fails(self, capsys, monkeypatch):
-        bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
+        # F 1 too high on the sweep's K = 4 attacks alone (no named attack at n = 2 has 4
+        # outcomes): the named families pass, and the sweep's first attack fails the run
         monkeypatch.setattr(
-            "qdecoy.tradeoff.random_attack", lambda n, outcomes=None, seed=0: bad
+            "qdecoy.tradeoff.induced_fidelity_closed",
+            lambda a: induced_fidelity_closed(a) + (1.0 if len(a) == 4 else 0.0),
         )
         assert main(["verify", "--n", "2", "--trials", "1", "--seed", "0"]) == 1
-        out = capsys.readouterr().out
-        assert "verify: FAIL" in out
-        assert "corrupt" in out
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("verify: FAIL (attack 'random(n=2,k=4,seed=")
 
 
     def test_prints_closed_form_residual(self, capsys):

@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qdecoy.attacks import (
-    GeneralizedMeasurement,
     identity_attack,
     optimal_attack,
     probabilistic_attack,
@@ -88,10 +87,11 @@ class TestAttackPoint:
         p = attack_point(replace(identity_attack(2), descriptor="custom"))
         assert p.source == "custom"
 
-    def test_incomplete_attack_rejected(self):
-        m = GeneralizedMeasurement([0.5 * np.eye(2, dtype=complex)], descriptor="corrupt")
-        with pytest.raises(ValueError):
-            attack_point(m)
+    def test_incomplete_attack_rejected(self, monkeypatch):
+        # an attack cannot be built incomplete, so the G an incomplete 0.5 Id would give is patched in
+        monkeypatch.setattr(tradeoff, "estimation_fidelity", lambda m: (0.25, np.zeros(1, dtype=int)))
+        with pytest.raises(ValueError, match=r"estimation fidelity 0.25 outside \[1/2, 1\] beyond tolerance"):
+            attack_point(identity_attack(2))
 
 
 def _saturation_gap(n, g):
@@ -221,9 +221,9 @@ class TestSweepRandom:
         assert all(r() is None for r in refs)
 
     def test_broken_attack_raises(self, monkeypatch):
-        bad = GeneralizedMeasurement([np.sqrt(1.1) * np.eye(2, dtype=complex)], descriptor="corrupt")
-        monkeypatch.setattr("qdecoy.tradeoff.random_attack", lambda n, seed=0: bad)
-        with pytest.raises(BoundViolation, match="corrupt"):
+        # F above 1 puts every attack below the bound; the violation names the first one drawn
+        monkeypatch.setattr(tradeoff, "induced_fidelity_closed", lambda a: induced_fidelity_closed(a) + 1.0)
+        with pytest.raises(BoundViolation, match=rf"random\(n=2,k=4,seed={trial_seed(0, 0)}\)"):
             sweep_random(2, trials=2, seed=0)
 
     @staticmethod
@@ -311,19 +311,17 @@ class TestOptimizeAttack:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_reaches_bound_at_mid_g(self, n):
         g = 0.5 * (1.0 / n + 1.0)
-        point, m = optimize_attack(n, g, restarts=4, seed=0)
+        point, _ = optimize_attack(n, g, restarts=4, seed=0)
         assert abs(point.d - disturbance_bound(g, n)) <= 1e-9
         assert_allclose(point.g, g, rtol=0, atol=1e-9)
-        m.validate()
 
     def test_rediscovers_bound_midrange(self):
-        point, m = optimize_attack(2, 0.75, restarts=4, seed=0)
+        point, _ = optimize_attack(2, 0.75, restarts=4, seed=0)
         bound = disturbance_bound(0.75, 2)
         assert abs(point.d - bound) <= 5e-4
         assert point.d >= bound - 1e-9
         assert_allclose(point.g, 0.75, rtol=0, atol=1e-9)
         assert point.source == "optimized(n=2,g=0.75,seed=0)"
-        m.validate()
 
     def test_lower_endpoint(self):
         point, _ = optimize_attack(2, 0.5, restarts=4, seed=0)
@@ -331,10 +329,9 @@ class TestOptimizeAttack:
         assert point.d >= -1e-9
 
     def test_one_restart_meets_g_near_the_lower_end(self):
-        point, m = optimize_attack(5, 0.201, restarts=1, seed=0)
+        point, _ = optimize_attack(5, 0.201, restarts=1, seed=0)
         assert abs(point.g - 0.201) <= 1e-12
         assert abs(point.margin) <= 1e-11
-        m.validate()
 
     def test_a_restart_may_leave_an_outcome_without_weight(self, monkeypatch):
         # outcome 1 of this complete stack never fires: the attack keeps outcomes 0 and 2
@@ -346,7 +343,6 @@ class TestOptimizeAttack:
         assert len(m.ops) == 2
         assert_allclose(point.g, 2 / 3, rtol=0, atol=1e-12)
         assert_allclose(point.d, 2 / 9, rtol=0, atol=1e-12)
-        m.validate()
 
     def test_no_restart_left_when_every_one_is_singular(self, monkeypatch):
         def singular(a, lam):
