@@ -31,7 +31,6 @@ from .ensembles import (
 from .attacks import (
     GeneralizedMeasurement,
     diagonal_attack,
-    from_kraus,
     identity_attack,
     optimal_attack,
     parse_descriptor,
@@ -56,7 +55,7 @@ from .tradeoff import (
 )
 from .protocol import SimReport, run_protocol
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "DEFAULT_TOL",
@@ -75,7 +74,6 @@ __all__ = [
     "decoy_ket",
     "pairing_ensemble",
     "GeneralizedMeasurement",
-    "from_kraus",
     "optimal_attack",
     "projective_attack",
     "identity_attack",

@@ -32,11 +32,12 @@ class GeneralizedMeasurement:
 
     Construction is the one place an attack is checked. It copies the
     operators once, so later changes to the caller's arrays do not reach the
-    attack; checks the (K, n, n) shape and n >= 2; drops zero operators
-    (outcomes that never fire); and raises unless what is left is nonempty
-    and complete within DEFAULT_TOL. `gram` is sum_r A_r†A_r, if the caller
-    has already formed it from these operators; dropped ones are zero, so
-    they do not change it. descriptor is provenance text.
+    attack; checks the (K, n, n) shape; names a stack given no descriptor
+    custom(n=..,k=..), k counting every operator given; checks n >= 2; drops
+    zero operators (outcomes that never fire); and raises unless what is left
+    is nonempty and complete within DEFAULT_TOL. `gram` is sum_r A_r†A_r, if
+    the caller has already formed it from these operators; dropped ones are
+    zero, so they do not change it. descriptor is provenance text.
     """
 
     ops: np.ndarray
@@ -47,6 +48,8 @@ class GeneralizedMeasurement:
         ops = np.array(self.ops, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError(f"Kraus operators must form a (K, n, n) stack, got shape {ops.shape}")
+        if not self.descriptor:
+            object.__setattr__(self, "descriptor", f"custom(n={ops.shape[1]},k={len(ops)})")
         check_dim(ops.shape[1])
         keep = ~(frobenius_norms(ops) < ZERO_NORM)  # a NaN operator is kept, and fails completeness
         dropped = int(keep.size - keep.sum())
@@ -93,18 +96,6 @@ def _identity_residual(s: np.ndarray) -> float:
 def _whiten(b: np.ndarray, s_inv_sqrt: np.ndarray) -> np.ndarray:
     """{B_r S} for a (K, n, n) stack, as one product of its (K*n, n) reshape."""
     return (b.reshape(-1, b.shape[-1]) @ s_inv_sqrt).reshape(b.shape)
-
-
-def from_kraus(ops) -> GeneralizedMeasurement:
-    """Measurement from a list of uniform square operators, described as custom(n=.., k=..).
-
-    k counts the operators given, zero ones included. The descriptor is read
-    off the stack's shape first, so the operators are copied once, by the one
-    construction, which checks them.
-    """
-    a = np.asarray(ops, dtype=complex)
-    # a stack of the wrong shape gets no descriptor; the constructor rejects it
-    return GeneralizedMeasurement(a, f"custom(n={a.shape[-1]},k={len(a)})" if a.ndim == 3 else "")
 
 
 def _basis_projectors(n: int) -> np.ndarray:

@@ -4,9 +4,10 @@ Four subcommands: `curve` emits the bound curve as CSV/JSON, `verify` runs the
 certification sweep and the named-family checks, `simulate` Monte-Carlos the
 protocol for a described attack, `optimize` rediscovers the least-disturbance
 attack at fixed estimation fidelity. Exit codes, mapped in `main` alone, each
-with one stderr line: 0 success; 2 a usage error or any input the library
-refuses (a ValueError, whose message names the input); 1 a failed
-verification, a RuntimeError, a MemoryError or an unwritable --out.
+with one stderr line: 0 success; 2 a usage error or any refused input (a
+ValueError, raised by the library or by a command's own checks, whose message
+names the input); 1 a failed verification, a RuntimeError (an unwritable --out
+among them) or a MemoryError.
 Randomized commands require a nonnegative --seed and are bit-reproducible
 given it. File output is atomic (temp file + rename).
 """
@@ -37,7 +38,7 @@ from .metrics import (
     induced_fidelity_functional,
 )
 from .ensembles import pairing_ensemble
-from .linalg import check_dim
+from .linalg import DEFAULT_TOL, check_dim
 from .protocol import run_protocol
 from .tradeoff import (
     BoundViolation,
@@ -53,8 +54,6 @@ from .tradeoff import (
 #: not --shots, set its cost (554 MB at n = 64); nothing yet bounds them at large n
 _N_CAP = 64
 
-#: verify's largest accepted |D - bound| on the saturating family
-_SATURATION_TOL = 1e-9
 #: verify's largest accepted |G_def - G_functional|
 _G_ROUTE_TOL = 1e-12
 #: verify's largest accepted gap between two routes to F
@@ -66,20 +65,13 @@ _POINTS_CAP = 100_000
 #: the default 16 took 10.3 s and 65 MB as a whole process, and 4 took 2.6 s
 #: and 44 MB (2-core machine, one BLAS thread)
 _OPTIMIZE_N_CAP = 24
-
-
-def _usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
-def _runtime_failure(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
+#: optimize's largest --restarts. The search holds 115-131 bytes per restart
+#: per n^3, so 64 restarts at n = 24 take about 115 MB
+_RESTARTS_CAP = 64
 
 
 def _write_output(text: str, path: str | None) -> int:
-    """Print to stdout, or write the whole file atomically; returns the exit code."""
+    """Print to stdout, or write the whole file atomically; returns 0, and raises RuntimeError if it cannot."""
     if path is None:
         sys.stdout.write(text)
         return 0
@@ -102,7 +94,7 @@ def _write_output(text: str, path: str | None) -> int:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        return _runtime_failure(f"cannot write {path}: {exc.strerror or exc}")
+        raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}")
     return 0
 
 
@@ -122,9 +114,9 @@ def _sci(tol: float) -> str:
 def cmd_curve(args: argparse.Namespace) -> int:
     _check_n(args.n)
     if args.points < 2:
-        return _usage(f"need at least 2 grid points, got {args.points}")
+        raise ValueError(f"need at least 2 grid points, got {args.points}")
     if args.points > _POINTS_CAP:
-        return _usage(f"{args.points} grid points exceed the cap {_POINTS_CAP}")
+        raise ValueError(f"{args.points} grid points exceed the cap {_POINTS_CAP}")
     grid = np.linspace(1.0 / args.n, 1.0, args.points)
     rows = [(float(g), disturbance_bound(float(g), args.n)) for g in grid]
     if args.format == "csv":
@@ -167,9 +159,9 @@ class _CrossCheck:
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_n(args.n)
     if args.trials < 0:
-        return _usage(f"trials must be nonnegative, got {args.trials}")
+        raise ValueError(f"trials must be nonnegative, got {args.trials}")
     if args.trials > 0 and args.seed is None:
-        return _usage("--seed is required when --trials > 0")
+        raise ValueError("--seed is required when --trials > 0")
 
     g_grid = [float(g) for g in np.linspace(1.0 / args.n, 1.0, 11)]
     failures: list[str] = []
@@ -180,9 +172,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f_optimal = cross.f_functional[-len(g_grid):]
         gaps = [abs((1.0 - f) - disturbance_bound(g, args.n)) for g, f in zip(g_grid, f_optimal)]
         max_gap = float(np.max(gaps))
-        if not max_gap <= _SATURATION_TOL:
+        if not max_gap <= DEFAULT_TOL:
             worst = g_grid[int(np.argmax(gaps))]
-            failures.append(f"saturation gap {max_gap!r} at g={worst!r} exceeds {_sci(_SATURATION_TOL)}")
+            failures.append(f"saturation gap {max_gap!r} at g={worst!r} exceeds {_sci(DEFAULT_TOL)}")
 
         min_sweep = None
         if args.trials > 0:
@@ -228,7 +220,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.n > _OPTIMIZE_N_CAP:
-        return _usage(f"n = {args.n} exceeds the search cap {_OPTIMIZE_N_CAP}")
+        raise ValueError(f"n = {args.n} exceeds the search cap {_OPTIMIZE_N_CAP}")
+    if args.restarts > _RESTARTS_CAP:
+        raise ValueError(f"{args.restarts} restarts exceed the cap {_RESTARTS_CAP}")
     point, _ = optimize_attack(args.n, args.g, restarts=args.restarts, seed=args.seed)
     return _write_output(json.dumps(asdict(point), indent=2) + "\n", args.out)
 
@@ -285,18 +279,20 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # verify, simulate and optimize take a seed; checked here too, as verify --trials 0 passes none on
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        return _usage(f"--seed must be nonnegative, got {seed}")
     try:
+        # verify, simulate and optimize take a seed; checked here too, as verify --trials 0 passes none on
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {seed}")
         return args.func(args)
-    except ValueError as exc:  # the library refused an input, and its message names it
-        return _usage(str(exc))
+    except ValueError as exc:  # a refused input, and its message names it
+        msg, code = str(exc), 2
     except MemoryError:
-        return _runtime_failure(f"not enough memory to run {args.command}")
+        msg, code = f"not enough memory to run {args.command}", 1
     except RuntimeError as exc:
-        return _runtime_failure(str(exc))
+        msg, code = str(exc), 1
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .attacks import (
     projective_attack,
     random_attack,
 )
-from .linalg import check_dim, check_seed
+from .linalg import DEFAULT_TOL, check_dim, check_seed
 from .metrics import (
     _decoy_amplitudes,
     estimation_fidelity,
@@ -35,10 +35,6 @@ from .metrics import (
     induced_fidelity_functional,  # not called here; qdbench/tracing.py wraps qdecoy.tradeoff.induced_fidelity_functional
 )
 
-#: margins at or above this are float noise; below it an attack or metric is broken
-_NOISE = -1e-9
-#: largest float-noise offset of an estimation fidelity from its range or target
-_G_TOL = 1e-9
 #: random attacks, a sweep's first ones, that sweep_random hands to its `check`
 _KEPT = 10
 #: an ascent has converged once no entry of its stack moves by more than this in a step
@@ -89,7 +85,7 @@ def attack_point(m: GeneralizedMeasurement) -> TradeoffPoint:
     d = 1.0 - induced_fidelity_closed(m.ops)
     # completeness noise can push G a few ulp outside [1/n, 1]
     g_eval = min(max(g, 1.0 / n), 1.0)
-    if not abs(g_eval - g) <= _G_TOL:
+    if not abs(g_eval - g) <= DEFAULT_TOL:
         raise ValueError(f"estimation fidelity {g} outside [1/{n}, 1] beyond tolerance")
     b = disturbance_bound(g_eval, n)
     return TradeoffPoint(
@@ -114,17 +110,18 @@ def certify(
 ) -> TradeoffPoint:
     """Certify the bound on each attack that `attacks` yields; returns the point of least margin.
 
-    A margin below _NOISE raises BoundViolation (the bound is proven, so that
-    is an implementation bug, not a counterexample). Given `check`, it calls
-    check(attack, point) on the first `checked` attacks (all of them when
-    None) right after certifying each, so a caller can check them further
-    without building them again. It lets go of each attack and its point
-    before it pulls the next, so its memory does not grow with their number.
+    A margin below -DEFAULT_TOL, float noise on a probability, raises
+    BoundViolation (the bound is proven, so that is an implementation bug,
+    not a counterexample). Given `check`, it calls check(attack, point) on
+    the first `checked` attacks (all of them when None) right after
+    certifying each, so a caller can check them further without building
+    them again. It lets go of each attack and its point before it pulls the
+    next, so its memory does not grow with their number.
     """
     worst, count = None, 0
     for m in attacks:  # not enumerate: its cached tuple would keep the last attack alive
         p = attack_point(m)
-        if not p.margin >= _NOISE:
+        if not p.margin >= -DEFAULT_TOL:
             raise BoundViolation(
                 f"attack {p.source!r} lands {-p.margin:.3e} below the proven bound "
                 f"(G={p.g!r}, D={p.d!r}); this indicates a broken attack or metric"
@@ -289,7 +286,7 @@ def optimize_attack(
             continue
         p = attack_point(m)
         # a margin below noise, or a NaN, is only reachable through float pathology
-        if not (abs(p.g - g_target) <= _G_TOL and p.margin >= _NOISE):
+        if not (abs(p.g - g_target) <= DEFAULT_TOL and p.margin >= -DEFAULT_TOL):
             continue
         if best is None or p.d < best[0].d:
             best = (p, m)

@@ -18,8 +18,10 @@ def _coeff_norm_sq(m):
 
 
 class TestFromKraus:
+    """An attack built straight from its Kraus operators, with no descriptor."""
+
     def test_single_identity(self):
-        m = attacks.from_kraus([np.eye(3)])
+        m = attacks.GeneralizedMeasurement([np.eye(3)])
         assert m.dim == 3 and len(m.ops) == 1
         assert m.completeness_residual() <= 1e-15
 
@@ -27,26 +29,33 @@ class TestFromKraus:
         proj = np.zeros((2, 2), dtype=complex)
         proj[0, 0] = 1.0
         with pytest.raises(ValueError):
-            attacks.from_kraus([proj])
+            attacks.GeneralizedMeasurement([proj])
 
     def test_zero_operator_dropped(self):
         # an outcome that never fires is dropped, as the families drop one; k counts what was given
-        m = attacks.from_kraus([np.eye(2), np.zeros((2, 2))])
+        m = attacks.GeneralizedMeasurement([np.eye(2), np.zeros((2, 2))])
         npt.assert_array_equal(m.ops, [np.eye(2)])
         assert m.descriptor == "custom(n=2,k=2)"
+
+    def test_unnamed_stack_is_custom(self):
+        # the name is given before zero outcomes are dropped, so an error names the attack
+        with pytest.raises(ValueError, match=r"^custom\(n=2,k=2\): no nonzero outcomes$"):
+            attacks.GeneralizedMeasurement(np.zeros((2, 2, 2)))
+        named = attacks.GeneralizedMeasurement([np.eye(2)], descriptor="bare")
+        assert named.descriptor == "bare"
 
     def test_nan_operator_rejected(self):
         # a NaN completeness residual fails the check, as a large one does
         with pytest.raises(ValueError, match="completeness violated: residual nan"):
-            attacks.from_kraus([[[np.nan, 0], [0, 1]]])
+            attacks.GeneralizedMeasurement([[[np.nan, 0], [0, 1]]])
 
     def test_empty_and_ragged_rejected(self):
         with pytest.raises(ValueError):
-            attacks.from_kraus([])
+            attacks.GeneralizedMeasurement([])
         with pytest.raises(ValueError):
-            attacks.from_kraus([np.eye(2), np.eye(3)])
+            attacks.GeneralizedMeasurement([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
-            attacks.from_kraus([np.ones((2, 3))])
+            attacks.GeneralizedMeasurement([np.ones((2, 3))])
 
     def test_operators_copied_once(self):
         # a 16 MiB stack: the one construction copies it, and validation adds
@@ -54,7 +63,7 @@ class TestFromKraus:
         ops = attacks.random_attack(32, seed=1).ops.copy()
         tracemalloc.start()
         try:
-            m = attacks.from_kraus(ops)
+            m = attacks.GeneralizedMeasurement(ops)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -72,7 +81,7 @@ class TestFromKraus:
     def test_projective_set_coefficient_norm(self):
         n = 4
         eye = np.eye(n, dtype=complex)
-        m = attacks.from_kraus([np.outer(eye[r], eye[r]) for r in range(n)])
+        m = attacks.GeneralizedMeasurement([np.outer(eye[r], eye[r]) for r in range(n)])
         npt.assert_allclose(_coeff_norm_sq(m), n, atol=1e-12)
 
     def test_completeness_residual_matches_loop(self):
@@ -110,7 +119,7 @@ class TestRepresentation:
 
     def test_caller_arrays_are_copied(self):
         ops = [np.eye(2, dtype=complex) / np.sqrt(2), np.eye(2, dtype=complex) / np.sqrt(2)]
-        m = attacks.from_kraus(ops)
+        m = attacks.GeneralizedMeasurement(ops)
         ops[0][0, 0] = 5.0
         npt.assert_array_equal(m.ops[0], np.eye(2) / np.sqrt(2))
         stack = np.array([np.eye(2, dtype=complex)])

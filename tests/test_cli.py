@@ -426,6 +426,23 @@ class TestOptimize:
         with pytest.raises(Searched):
             main(["optimize", "--n", "24", "--g", "0.5", "--restarts", "1", "--seed", "0"])
 
+    def test_restarts_cap(self, capsys, monkeypatch):
+        class Searched(Exception):
+            pass
+
+        def search(*args, **kwargs):
+            raise Searched
+
+        # the search is never called above the cap, so nothing of its size is allocated
+        monkeypatch.setattr("qdecoy.cli.optimize_attack", search)
+        for restarts in (65, 10**7):
+            assert main(["optimize", "--n", "3", "--g", "0.6", "--restarts", str(restarts), "--seed", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {restarts} restarts exceed the cap 64\n"
+        with pytest.raises(Searched):
+            main(["optimize", "--n", "3", "--g", "0.6", "--restarts", "64", "--seed", "0"])
+
     def test_no_feasible_candidate_exits_one(self, capsys, monkeypatch):
         def infeasible(n, g, **kwargs):
             raise RuntimeError(f"no feasible candidate found at (n={n}, g={g})")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qdecoy.attacks import (
+    GeneralizedMeasurement,
     diagonal_attack,
-    from_kraus,
     identity_attack,
     optimal_attack,
     probabilistic_attack,
@@ -419,7 +419,7 @@ class TestClosedForm:
         assume(np.linalg.eigvalsh(gram)[0] > 1e-3)
         ops = b @ inv_sqrt_psd(gram)
         assume(all(np.linalg.norm(op) > 1e-6 for op in ops))
-        m = from_kraus(ops)
+        m = GeneralizedMeasurement(ops)
         f_def = induced_fidelity(m, pairing_ensemble(n))
         assert_allclose(induced_fidelity_closed(m.ops), f_def, rtol=0, atol=1e-10)
         assert_allclose(induced_fidelity_functional(m), f_def, rtol=0, atol=1e-10)
@@ -636,7 +636,7 @@ class TestSpectralQuantities:
 
     def test_rejects_off_diagonal(self):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        m = from_kraus([h])
+        m = GeneralizedMeasurement([h])
         with pytest.raises(ValueError):
             spectral_quantities(m)
         with pytest.raises(ValueError):

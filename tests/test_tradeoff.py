@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qdecoy.attacks import (
+    GeneralizedMeasurement,
     identity_attack,
     optimal_attack,
     probabilistic_attack,
@@ -16,10 +17,11 @@ from qdecoy.attacks import (
     random_attack,
 )
 from qdecoy import tradeoff
-from qdecoy.metrics import induced_fidelity_closed, induced_fidelity_functional
+from qdecoy.metrics import estimation_fidelity, induced_fidelity_closed, induced_fidelity_functional
 from qdecoy.tradeoff import (
     BoundViolation,
     attack_point,
+    certify,
     disturbance_bound,
     optimize_attack,
     sweep_random,
@@ -249,6 +251,57 @@ class TestSweepRandom:
             sweep_random(1, trials=5)
         with pytest.raises(ValueError):
             sweep_random(2, trials=0)
+
+
+def _near_bound(n, g, seed, eps=1e-6):
+    """optimal_attack(n, g) with outcome r turned by U_r = exp(i eps H_r), H_r a seeded Hermitian matrix.
+
+    (U_r A_r)†(U_r A_r) = A_r†A_r, so G and completeness stay; D rises above the bound by O(eps^2).
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    w, v = np.linalg.eigh((x + x.conj().swapaxes(1, 2)) / 2)
+    u = (v * np.exp(1j * eps * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return GeneralizedMeasurement(u @ optimal_attack(n, g).ops, f"near(n={n},g={g!r},seed={seed})")
+
+
+class TestNearBound:
+    """Certification of non-diagonal attacks within 1e-10 of the bound, where a small error in D shows."""
+
+    CASES = [(n, float(g), seed) for n in (2, 3, 4, 8) for g in np.linspace(1 / n, 1, 7)[1:-1] for seed in range(3)]
+
+    def _attacks(self):
+        # each diagonal optimal attack, then its rotations
+        for n, g, seed in self.CASES:
+            if seed == 0:
+                yield optimal_attack(n, g)
+            yield _near_bound(n, g, seed)
+
+    def test_rotation_keeps_g(self):
+        for n, g, seed in self.CASES:
+            g_near, _ = estimation_fidelity(_near_bound(n, g, seed))
+            g_opt, _ = estimation_fidelity(optimal_attack(n, g))
+            assert abs(g_near - g_opt) <= 1e-12
+
+    def test_certified_within_1e10_of_the_bound(self):
+        margins = {}
+        certify(self._attacks(), lambda m, p: margins.update({p.source: p.margin}))
+        near = [v for k, v in margins.items() if k.startswith("near(")]
+        assert len(near) == len(self.CASES)
+        assert all(0.0 <= v <= 1e-10 for v in near)
+
+    def test_error_of_1e8_on_non_diagonal_attacks_is_caught(self, monkeypatch):
+        def raised(a):
+            off = a.copy()
+            idx = np.arange(a.shape[1])
+            off[:, idx, idx] = 0
+            return induced_fidelity_closed(a) + (1e-8 if np.any(off) else 0.0)
+
+        monkeypatch.setattr("qdecoy.tradeoff.induced_fidelity_closed", raised)
+        n, g, seed = self.CASES[0]
+        # the diagonal optimal attack ahead of it still passes
+        with pytest.raises(BoundViolation, match=rf"'near\(n={n},g={g!r},seed={seed}\)'"):
+            certify(self._attacks())
 
 
 def _complex_stacks(rng, r, n):
