@@ -55,7 +55,7 @@ from .tradeoff import (
 )
 from .protocol import SimReport, run_protocol
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "DEFAULT_TOL",

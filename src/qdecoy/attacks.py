@@ -62,7 +62,7 @@ class GeneralizedMeasurement:
         object.__setattr__(self, "ops", ops)
         res = self.completeness_residual() if gram is None else _identity_residual(gram)
         if not res <= DEFAULT_TOL:
-            raise ValueError(f"completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
+            raise ValueError(f"{self.descriptor}: completeness violated: residual {res:.3e} > {DEFAULT_TOL:.1e}")
 
     @property
     def dim(self) -> int:

@@ -61,12 +61,12 @@ _F_ROUTE_TOL = 1e-10
 #: curve's largest grid; 1e6 points took 13 s and 1 GB as JSON
 _POINTS_CAP = 100_000
 #: optimize's largest n, until a peak-cost estimate replaces it. The restarts
-#: ascend together, so a run's cost grows with --restarts: at n = 24, g = 0.5
-#: the default 16 took 10.3 s and 65 MB as a whole process, and 4 took 2.6 s
-#: and 44 MB (2-core machine, one BLAS thread)
+#: ascend together in the search's first ascent, so a run's cost grows with
+#: --restarts: at n = 24, g = 0.5 the default 16 took 1.4-1.7 s and 55 MB as a
+#: whole process, and 4 took 0.7 s and 43 MB (2-core machine, one BLAS thread)
 _OPTIMIZE_N_CAP = 24
-#: optimize's largest --restarts. The search holds 115-131 bytes per restart
-#: per n^3, so 64 restarts at n = 24 take about 115 MB
+#: optimize's largest --restarts. The first ascent holds 82-86 bytes per
+#: restart per n^3, so 64 restarts at n = 24 take about 70 MB
 _RESTARTS_CAP = 64
 
 

@@ -208,44 +208,48 @@ def _ascend(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _search(n: int, g_target: float, restarts: int, seed: int) -> np.ndarray:
-    """One n-outcome attack per restart, as an (R, n, n, n) stack, each with G near g_target.
+    """One n-outcome attack, as an (n, n, n) stack, with G near g_target.
 
     Restart k starts from the polar factor of the k-th complex Gaussian
-    (n, n, n) stack drawn from `seed`, whatever `restarts` is, and finds its
-    own λ at which the top of F + λG has G = g_target. G(λ) is 1/n at
-    λ = 0, where F alone is largest (1, when every A_r is a multiple of Id),
-    so λ doubles from 1 until G >= g_target brackets the root, which false
-    position (Illinois) on G(λ) - g_target then narrows. Each ascent starts
-    from the restart's best stack so far, the one with G closest to
-    g_target, and that stack is returned.
+    (n, n, n) stack drawn from `seed`, whatever `restarts` is. The restarts
+    ascend together once, at λ = 1, and the one with the largest F + G (the
+    quadratic form Re<A, gradient>) carries on alone to the λ at which G =
+    g_target. G(λ) is 1/n at λ = 0, so λ doubles from 1 until G >= g_target
+    brackets the root, which false position (Illinois) on G(λ) - g_target
+    then narrows. Each ascent starts from the stack with G closest to
+    g_target so far, and that stack is returned.
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((restarts, 2, n, n, n))
-    best = _polar(z[:, 0] + 1j * z[:, 1])
-    miss = np.full(restarts, np.inf)  # |G - g_target| of each best stack
-    lam, side = np.ones(restarts), np.zeros(restarts)
-    lo, f_lo = np.zeros(restarts), np.full(restarts, 1.0 / n - g_target)
-    hi, f_hi = np.full(restarts, np.inf), np.zeros(restarts)
-    idx = np.arange(n)
-    for _ in range(_ROOT_STEPS):
-        live = miss > _ROOT_TOL
-        if not live.any():
+    a = _ascend(_polar(z[:, 0] + 1j * z[:, 1]), np.ones(restarts))
+    top = np.einsum("kabc,kabc->k", a.conj(), _gradient(a, np.ones(restarts))).real  # F + G of each
+    a = a[[np.argmax(top)]]
+    best, miss = a, np.inf  # miss: |G - g_target| of the best stack
+    lam, side = 1.0, 0
+    lo, f_lo = 0.0, 1.0 / n - g_target
+    hi, f_hi = np.inf, 0.0
+    for step in range(_ROOT_STEPS):
+        if step:  # the first ascent, at λ = 1, is the restarts' own
+            a = _ascend(best, np.array([lam]))
+        f = np.einsum("rir->", np.abs(a[0]) ** 2) / n - g_target
+        if abs(f) < miss:
+            best, miss = a, abs(f)
+        if miss <= _ROOT_TOL:
             break
-        a = best.copy()
-        a[live] = _ascend(best[live], lam[live])
-        f = np.sum(np.abs(a[:, idx, :, idx]) ** 2, axis=(0, 2)) / n - g_target
-        closer = np.abs(f) < miss
-        best[closer], miss[closer] = a[closer], np.abs(f[closer])
-        below, above = live & (f < 0), live & (f >= 0)
         # Illinois: an end kept a second time in a row has its value halved
-        f_hi[below & (side < 0)] /= 2
-        f_lo[above & (side > 0)] /= 2
-        lo[below], f_lo[below], side[below] = lam[below], f[below], -1
-        hi[above], f_hi[above], side[above] = lam[above], f[above], 1
-        lam[below & np.isinf(hi)] *= 2
-        pos = live & (miss > _ROOT_TOL) & np.isfinite(hi)
-        lam[pos] = (lo[pos] * f_hi[pos] - hi[pos] * f_lo[pos]) / (f_hi[pos] - f_lo[pos])
-    return best
+        if f < 0:
+            if side < 0:
+                f_hi /= 2
+            lo, f_lo, side = lam, f, -1
+        else:
+            if side > 0:
+                f_lo /= 2
+            hi, f_hi, side = lam, f, 1
+        if hi == np.inf:
+            lam *= 2
+        else:
+            lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    return best[0]
 
 
 def optimize_attack(
@@ -258,10 +262,10 @@ def optimize_attack(
 
     Searches n-outcome attacks in which outcome r guesses r for the largest
     F at G = g_target, by polar ascent of F + λG from `restarts` random
-    complex starts (_search), each ascent of at most _ASCENT_STEPS steps. Each
-    restart is built by the GeneralizedMeasurement constructor, which drops
-    zero outcomes and checks completeness, and is scored by attack_point.
-    Returns the point with the least D and its attack.
+    complex starts (_search), each ascent of at most _ASCENT_STEPS steps. The
+    stack found is built by the GeneralizedMeasurement constructor and scored
+    by attack_point; RuntimeError if it is refused, misses g_target or lands
+    below the bound, each by more than DEFAULT_TOL. Returns the point and attack.
     """
     check_dim(n)
     g_target = float(g_target)
@@ -278,18 +282,13 @@ def optimize_attack(
         m = replace(projective_attack(n), descriptor=source)
         return attack_point(m), m
 
-    best: tuple[TradeoffPoint, GeneralizedMeasurement] | None = None
-    for stack in _search(n, g_target, restarts, seed):
-        try:
-            m = GeneralizedMeasurement(stack, source)
-        except ValueError:  # a zeroed restart, or one that is not complete
-            continue
-        p = attack_point(m)
-        # a margin below noise, or a NaN, is only reachable through float pathology
-        if not (abs(p.g - g_target) <= DEFAULT_TOL and p.margin >= -DEFAULT_TOL):
-            continue
-        if best is None or p.d < best[0].d:
-            best = (p, m)
-    if best is None:
-        raise RuntimeError(f"no feasible candidate found at (n={n}, g={g_target})")
-    return best
+    failure = RuntimeError(f"no feasible candidate found at (n={n}, g={g_target})")
+    try:
+        m = GeneralizedMeasurement(_search(n, g_target, restarts, seed), source)
+    except ValueError as exc:  # a zeroed stack, or one that is not complete
+        raise failure from exc
+    p = attack_point(m)
+    # a margin below noise, or a NaN, is only reachable through float pathology
+    if not (abs(p.g - g_target) <= DEFAULT_TOL and p.margin >= -DEFAULT_TOL):
+        raise failure
+    return p, m

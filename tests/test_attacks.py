@@ -44,6 +44,11 @@ class TestFromKraus:
         named = attacks.GeneralizedMeasurement([np.eye(2)], descriptor="bare")
         assert named.descriptor == "bare"
 
+    def test_incomplete_stack_error_names_the_attack(self):
+        with pytest.raises(ValueError) as info:
+            attacks.GeneralizedMeasurement([np.diag([1.0, 0.0])])
+        assert str(info.value) == "custom(n=2,k=1): completeness violated: residual 1.000e+00 > 1.0e-09"
+
     def test_nan_operator_rejected(self):
         # a NaN completeness residual fails the check, as a large one does
         with pytest.raises(ValueError, match="completeness violated: residual nan"):

@@ -335,12 +335,51 @@ class TestAscent:
         assert_array_equal(p[1], 0.0)
 
     @pytest.mark.parametrize("n, g", [(2, 0.75), (3, 0.6), (4, 0.625), (5, 0.201), (7, 0.1438)])
-    def test_every_restart_finds_the_saturating_family(self, n, g):
+    def test_the_searched_stack_is_the_saturating_family(self, n, g):
         want = optimal_attack(n, g).ops
-        for stack in tradeoff._search(n, g, restarts=4, seed=0):
-            # one phase per outcome, read off its diagonal entry at the outcome's own guess
-            phase = stack[np.arange(n), np.arange(n), np.arange(n)]
-            assert np.max(np.abs(stack * (np.abs(phase) / phase)[:, None, None] - want)) <= 1e-10
+        stack = tradeoff._search(n, g, restarts=4, seed=0)
+        assert stack.shape == (n, n, n)
+        # one phase per outcome, read off its diagonal entry at the outcome's own guess
+        phase = stack[np.arange(n), np.arange(n), np.arange(n)]
+        assert np.max(np.abs(stack * (np.abs(phase) / phase)[:, None, None] - want)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_restarts_agree_on_the_top_of_the_first_ascent(self, n, monkeypatch):
+        # why one stack may carry the root search on: every restart reaches the same F + G at λ = 1
+        firsts = []
+        ascend = tradeoff._ascend
+
+        def spy(a, lam):
+            out = ascend(a, lam)
+            if not firsts:
+                firsts.append(out)
+            return out
+
+        monkeypatch.setattr(tradeoff, "_ascend", spy)
+        tradeoff._search(n, 0.5, restarts=16, seed=0)
+        (first,) = firsts
+        idx = np.arange(n)
+        tops = [induced_fidelity_closed(a) + np.sum(np.abs(a[idx, :, idx]) ** 2) / n for a in first]
+        assert len(tops) == 16
+        assert max(tops) - min(tops) <= 1e-12
+
+    def test_a_restart_zeroed_in_the_first_ascent_loses(self, monkeypatch):
+        ascend = tradeoff._ascend
+        calls = []
+
+        def zero_first(a, lam):
+            out = ascend(a, lam)
+            if not calls:
+                out[0] = 0.0
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(tradeoff, "_ascend", zero_first)
+        point, m = optimize_attack(3, 0.6, restarts=2, seed=0)
+        assert calls[0] == 2 and set(calls[1:]) == {1}
+        assert abs(point.g - 0.6) <= 1e-12
+        assert point.margin >= -1e-9
+        assert m.ops.shape == (3, 3, 3)
 
     def test_restarts_start_from_non_diagonal_complex_stacks(self, monkeypatch):
         starts = []
@@ -415,6 +454,14 @@ class TestOptimizeAttack:
         monkeypatch.setattr(tradeoff, "attack_point", nan_d)
         with pytest.raises(RuntimeError, match="no feasible candidate"):
             optimize_attack(3, 0.6, restarts=2, seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(5, 5), (7, 6)])
+    def test_meets_g_a_float_step_below_one(self, n, seed):
+        # the margin is ill-conditioned here; one restart missed these two, the default 16 do not
+        g = 1 - 2**-52
+        point, _ = optimize_attack(n, g, seed=seed)
+        assert abs(point.g - g) <= 1e-9
+        assert point.margin >= -1e-9
 
     def test_full_readout_is_projective(self):
         point, m = optimize_attack(4, 1.0, seed=0)
